@@ -23,21 +23,17 @@ from .tableaux import (
     enum_young_diagrams,
     indices_to_tableau,
     normalizing_permutation,
-    shape_of,
     tableau_to_indices,
 )
 from .tensors import (
     DenseTensor,
     OrbitTensor,
     basis_vector,
-    corner_components,
     orbit_sum,
     permute_tensor,
     scatter,
-    zero_pad,
 )
 from .reynolds import (
-    DesignReport,
     GeneratorSet,
     Polynomial,
     VectorFunction,
@@ -49,9 +45,8 @@ from .reynolds import (
     reynolds_equivariant_design,
     reynolds_invariant,
     reynolds_invariant_design,
-    verify_design,
 )
-from .nn import MLPParams, adam_step, init_adam, init_params, loss, mlp_forward, mlp_grad
+from .nn import MLPParams, adam_step, init_adam, init_params, mlp_forward
 from .models import (
     EquivariantReyNet,
     FlatNet,
@@ -64,7 +59,6 @@ from .models import (
     equivariant_forward,
     flat_forward,
     invariant_forward,
-    model_backward,
     transfer_invariant,
     transfer_n,
 )

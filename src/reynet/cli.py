@@ -78,7 +78,13 @@ def _checked_config(args, seeds: tuple[int, ...]) -> RunConfig:
     return cfg
 
 
+def _check_count(args) -> None:
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
+
+
 def cmd_gen(args) -> int:
+    _check_count(args)
     task = TASKS[args.task]
     seed = dataset_seed(task, args.n, args.split) if args.seed is None else args.seed
     ds = generate(task, args.n, args.count, seed)
@@ -142,6 +148,7 @@ def _eval_dataset(args, bundle):
 
 
 def cmd_eval(args) -> int:
+    _check_count(args)
     bundle = load_checkpoint(args.checkpoint)
     ds = _eval_dataset(args, bundle)
     try:
@@ -170,6 +177,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_count(args)
+    if args.step < 1:
+        raise UsageError(f"--step must be at least 1, got {args.step}")
     bundle = load_checkpoint(args.checkpoint)
     if bundle.kind not in ("red-reynet", "inv-red-reynet"):
         raise UsageError(f"sweep needs a reduced model, got kind {bundle.kind!r}")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import CounterRng
-from .tensors import DenseTensor
 
 MAGIC = b"REYNDATA"
 VERSION = 1
@@ -99,9 +98,6 @@ class Dataset:
                 f"targets shaped {self.targets.shape} do not hold {want} values "
                 f"for task {self.task.name}"
             )
-
-    def sample_input(self, i: int) -> DenseTensor:
-        return DenseTensor(self.n, 2, 1, self.inputs[i].reshape(self.n, self.n, 1).copy())
 
 
 def generate(task: TaskSpec, n: int, count: int, seed: int) -> Dataset:

@@ -9,6 +9,15 @@ design's unique-normalization property means every output entry is written
 exactly once, so for output order 2 a pass costs exactly n^2 component
 evaluations instead of a factorial-size group sum.
 
+Plan order: the forward emits its outputs in the order it computes them
+(depth, then tableau in census order, then design element), and each
+tableau's outputs are exactly its orbit of output entries.  Plan order is a
+permutation of the row-major output, so training takes losses, pooling and
+gradients on plan-order outputs against targets permuted once per dataset;
+only ``forward_batch`` scatters to the dense output tensor.  The identity
+leads every design, so the first column of each depth holds the
+representative entries that corner training fits.
+
 Reduction: components may read a fixed list of coordinates of (g . X)
 instead of the whole tensor (gathered by index lookup, nothing is
 materialized).  With coordinates drawn from {1, 2}^order the parameter count
@@ -30,7 +39,8 @@ import copy
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from math import factorial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,7 +87,7 @@ class EquivariantReyNet:
     channels_in: int
     order_out: int
     channels_out: int
-    components: dict[BasisTableau, MLPParams | Callable]
+    components: dict[BasisTableau, MLPParams]
     reduced: ReducedSpec | None
     depth_divisors: dict[int, int]
 
@@ -112,7 +122,7 @@ def build_equivariant(
         top = max(max(c) for c in reduced.coords)
         if top > n:
             raise ValueError(f"reduced coordinate index {top} exceeds n={n}")
-    components: dict[BasisTableau, MLPParams | Callable] = {}
+    components: dict[BasisTableau, MLPParams] = {}
     stream = CounterRng(seed)
     for k, tab in enumerate(all_basis_tableaux(order_out)):
         d_in = component_input_dim(n, order_in, channels_in, reduced, tab.depth)
@@ -129,10 +139,10 @@ def build_equivariant(
 @dataclass(frozen=True)
 class _DepthPlan:
     depth: int
-    design_size: int
     gather: np.ndarray  # (|H|, d_in) flat positions into the input
     tableaux: tuple[BasisTableau, ...]
     rows: np.ndarray  # (len(tableaux), |H|) flat output rows
+    by_row: np.ndarray  # per tableau: its design columns by ascending output row
 
 
 @lru_cache(maxsize=None)
@@ -168,7 +178,9 @@ def _forward_plan(
                 u = tableau_to_indices(ExtendedTableau(n, labels, tab))
                 rows[ti, gi] = flat_index(u, n)
         plans.append(
-            _DepthPlan(depth, len(design.elements), np.array(gather_rows), tableaux, rows)
+            _DepthPlan(
+                depth, np.array(gather_rows), tableaux, rows, np.argsort(rows, axis=1)
+            )
         )
     written = np.concatenate([p.rows.ravel() for p in plans])
     if not np.array_equal(np.sort(written), np.arange(n**order_out)):
@@ -182,10 +194,67 @@ def _plan_for(model: EquivariantReyNet) -> tuple[_DepthPlan, ...]:
     )
 
 
-def _eval_component(comp, x2d: np.ndarray) -> np.ndarray:
-    if isinstance(comp, MLPParams):
-        return mlp_forward(comp, x2d)
-    return np.asarray(comp(x2d), dtype=np.float64)
+def _columns(corner: bool) -> slice:
+    """Design columns a forward evaluates: all, or the identity alone."""
+    return slice(0, 1) if corner else slice(None)
+
+
+def plan_rows(model: EquivariantReyNet, corner: bool = False) -> np.ndarray:
+    """Row-major output row of each plan-order output.
+
+    With `corner` these are the representative rows, ``tensors.corner_rows``.
+    """
+    cols = _columns(corner)
+    return np.concatenate([p.rows[:, cols].ravel() for p in _plan_for(model)])
+
+
+def plan_forward(
+    model: EquivariantReyNet,
+    flat_x: np.ndarray,
+    corner: bool = False,
+    cached: bool = False,
+    count: list[int] | None = None,
+):
+    """(batch, n^order_in * channels_in) -> plan-order outputs and a cache.
+
+    The outputs are (batch, rows, channels_out), row k holding output row
+    ``plan_rows(model, corner)[k]``; `corner` evaluates only the identity
+    column of each design.  The cache holds what ``backward_from_cache``
+    needs when `cached` is set and is None otherwise.  `count`, when given,
+    accumulates the number of component evaluations.
+    """
+    cols = _columns(corner)
+    batch = flat_x.shape[0]
+    outs, cache = [], []
+    start = 0
+    for plan in _plan_for(model):
+        gather = plan.gather[cols]
+        size = gather.shape[0]
+        flat_in = flat_x[:, gather].reshape(batch * size, -1)
+        scale = 1.0 / model.depth_divisors[plan.depth]
+        for tab in plan.tableaux:
+            comp = model.components[tab]
+            if cached:
+                v, acts = mlp_forward_cached(comp, flat_in)
+                cache.append((tab, slice(start, start + size), scale, acts))
+            else:
+                v = mlp_forward(comp, flat_in)
+            if count is not None:
+                count[0] += batch * size
+            outs.append(v.reshape(batch, size, -1) * scale)
+            start += size
+    return np.concatenate(outs, axis=1), (cache if cached else None)
+
+
+def backward_from_cache(model: EquivariantReyNet, cache, upstream: np.ndarray) -> list[np.ndarray]:
+    """Gradients of sum(upstream * plan-order outputs), one per parameter
+    array in census order: each component's weights, then its biases."""
+    grads = []
+    for tab, rows, scale, acts in cache:
+        up = upstream[:, rows, :] * scale
+        dw, db, _ = mlp_backward(model.components[tab], acts, up.reshape(-1, up.shape[-1]))
+        grads += dw + db
+    return grads
 
 
 def forward_batch(
@@ -193,63 +262,13 @@ def forward_batch(
 ) -> np.ndarray:
     """(batch, n^order_in * channels_in) -> (batch, n^order_out, channels_out).
 
+    The dense boundary: plan-order outputs scattered to row-major rows.
     `count`, when given, accumulates the number of component evaluations.
     """
-    b_out = model.channels_out
-    batch = flat_x.shape[0]
-    y = np.empty((batch, model.n**model.order_out, b_out))
-    for plan in _plan_for(model):
-        gathered = flat_x[:, plan.gather]
-        size = plan.design_size
-        flat_in = gathered.reshape(batch * size, -1)
-        scale = 1.0 / model.depth_divisors[plan.depth]
-        for ti, tab in enumerate(plan.tableaux):
-            v = _eval_component(model.components[tab], flat_in)
-            if count is not None:
-                count[0] += batch * size
-            y[:, plan.rows[ti], :] = v.reshape(batch, size, b_out) * scale
+    z, _ = plan_forward(model, flat_x, count=count)
+    y = np.empty_like(z)
+    y[:, plan_rows(model), :] = z
     return y
-
-
-def forward_batch_cached(model: EquivariantReyNet, flat_x: np.ndarray):
-    """Forward keeping per-component activations for one backward pass."""
-    b_out = model.channels_out
-    batch = flat_x.shape[0]
-    y = np.empty((batch, model.n**model.order_out, b_out))
-    caches = []
-    for plan in _plan_for(model):
-        gathered = flat_x[:, plan.gather]
-        size = plan.design_size
-        flat_in = gathered.reshape(batch * size, -1)
-        scale = 1.0 / model.depth_divisors[plan.depth]
-        acts_by_tab = {}
-        for ti, tab in enumerate(plan.tableaux):
-            comp = model.components[tab]
-            if not isinstance(comp, MLPParams):
-                raise TypeError("backward pass needs trainable components")
-            v, acts = mlp_forward_cached(comp, flat_in)
-            acts_by_tab[tab] = acts
-            y[:, plan.rows[ti], :] = v.reshape(batch, size, b_out) * scale
-        caches.append((plan, acts_by_tab))
-    return y, caches
-
-
-def backward_from_cache(
-    model: EquivariantReyNet, caches, upstream: np.ndarray
-) -> dict[BasisTableau, tuple[list[np.ndarray], list[np.ndarray]]]:
-    """Parameter gradients of sum(upstream * forward) per component."""
-    batch = upstream.shape[0]
-    grads = {}
-    for plan, acts_by_tab in caches:
-        size = plan.design_size
-        scale = 1.0 / model.depth_divisors[plan.depth]
-        for ti, tab in enumerate(plan.tableaux):
-            up = upstream[:, plan.rows[ti], :] * scale
-            dw, db, _ = mlp_backward(
-                model.components[tab], acts_by_tab[tab], up.reshape(batch * size, -1)
-            )
-            grads[tab] = (dw, db)
-    return grads
 
 
 def equivariant_forward(model: EquivariantReyNet, x: DenseTensor) -> DenseTensor:
@@ -262,65 +281,6 @@ def equivariant_forward(model: EquivariantReyNet, x: DenseTensor) -> DenseTensor
         model.channels_out,
         y.reshape((model.n,) * model.order_out + (model.channels_out,)),
     )
-
-
-def model_backward(
-    model: EquivariantReyNet, x: DenseTensor, upstream: DenseTensor
-) -> dict[BasisTableau, tuple[list[np.ndarray], list[np.ndarray]]]:
-    """Single-sample parameter gradients of sum(upstream * forward(x))."""
-    _, caches = forward_batch_cached(model, x.data.reshape(1, -1))
-    flat_up = upstream.data.reshape(1, -1, model.channels_out)
-    return backward_from_cache(model, caches, flat_up)
-
-
-def corner_forward_batch(model: EquivariantReyNet, flat_x: np.ndarray):
-    """Representative entries only: (batch, census, channels_out).
-
-    The identity is the one design element scattering onto a representative
-    row, and it sits first in design order, so each component is evaluated
-    once on the unpermuted gather.
-    """
-    if model.n < model.order_out:
-        raise ValueError("corner entries need n >= output order")
-    cols = []
-    for plan in _plan_for(model):
-        gathered = flat_x[:, plan.gather[0]]
-        scale = 1.0 / model.depth_divisors[plan.depth]
-        for tab in plan.tableaux:
-            v = _eval_component(model.components[tab], gathered)
-            cols.append(v * scale)
-    return np.stack(cols, axis=1)
-
-
-def corner_forward_batch_cached(model: EquivariantReyNet, flat_x: np.ndarray):
-    cols, caches = [], []
-    for plan in _plan_for(model):
-        gathered = flat_x[:, plan.gather[0]]
-        scale = 1.0 / model.depth_divisors[plan.depth]
-        acts_by_tab = {}
-        for tab in plan.tableaux:
-            comp = model.components[tab]
-            if not isinstance(comp, MLPParams):
-                raise TypeError("backward pass needs trainable components")
-            v, acts = mlp_forward_cached(comp, gathered)
-            acts_by_tab[tab] = acts
-            cols.append(v * scale)
-        caches.append((plan, acts_by_tab))
-    return np.stack(cols, axis=1), caches
-
-
-def corner_backward_from_cache(model: EquivariantReyNet, caches, upstream: np.ndarray):
-    """Gradients for the representative-entry forward; upstream (batch, census, b)."""
-    grads = {}
-    col = 0
-    for plan, acts_by_tab in caches:
-        scale = 1.0 / model.depth_divisors[plan.depth]
-        for tab in plan.tableaux:
-            up = upstream[:, col, :] * scale
-            dw, db, _ = mlp_backward(model.components[tab], acts_by_tab[tab], up)
-            grads[tab] = (dw, db)
-            col += 1
-    return grads
 
 
 def transfer_n(model: EquivariantReyNet, n_new: int) -> EquivariantReyNet:
@@ -384,65 +344,65 @@ def build_invariant(
     return InvariantReyNet(body, pooling, head)
 
 
-@lru_cache(maxsize=None)
-def _orbit_matrix(n: int, m: int) -> np.ndarray:
-    """(census, n^m) weights: stabilizer size on orbit members, else zero."""
-    from .tensors import orbit_plan
+def _orbits(body: EquivariantReyNet):
+    """Per census tableau: its depth, its plan-order output slice, and the
+    slice's positions by ascending row-major output row."""
+    start = 0
+    for plan in _plan_for(body):
+        size = plan.rows.shape[1]
+        for by_row in plan.by_row:
+            yield plan.depth, slice(start, start + size), by_row
+            start += size
 
-    tableaux, orbit_of, weights = orbit_plan(n, m)
-    mat = np.zeros((len(tableaux), n**m))
-    mat[orbit_of, np.arange(n**m)] = weights[orbit_of]
-    return mat
 
+def _pool_forward(model: InvariantReyNet, z: np.ndarray):
+    """Plan-order body outputs (batch, n^m, b) -> (batch, width), plus what
+    backward needs.
 
-def _pool_forward(model: InvariantReyNet, y: np.ndarray):
-    """(batch, n^m, b) -> (batch, width), plus what backward needs."""
+    orbit_sum weights each orbit's sum by its stabilizer size (n - depth)!,
+    as ``tensors.orbit_sum`` does.  max_diag_offdiag takes the max over the
+    depth-1 outputs (the diagonal) and over the depth-2 ones; among equal
+    maxima it picks the lowest row-major output row.
+    """
     body = model.body
-    batch, _, b = y.shape
     if model.pooling == "orbit_sum":
-        mat = _orbit_matrix(body.n, body.order_out)
-        pooled = np.einsum("kr,brc->bkc", mat, y)
-        return pooled.reshape(batch, -1), ("orbit_sum", mat)
-    n = body.n
-    grid = y.reshape(batch, n, n, b)
-    diag = grid[:, np.arange(n), np.arange(n), :]
-    off = np.where(np.eye(n, dtype=bool)[None, :, :, None], -np.inf, grid).reshape(
-        batch, n * n, b
-    )
-    diag_arg = np.argmax(diag, axis=1)
-    off_arg = np.argmax(off, axis=1)
-    feats = np.concatenate(
-        [np.take_along_axis(diag, diag_arg[:, None, :], axis=1)[:, 0, :],
-         np.take_along_axis(off, off_arg[:, None, :], axis=1)[:, 0, :]],
-        axis=1,
-    )
-    return feats, ("max", diag_arg, off_arg)
+        feats = [
+            factorial(body.n - depth) * z[:, seg, :].sum(axis=1)
+            for depth, seg, _ in _orbits(body)
+        ]
+        return np.concatenate(feats, axis=1), None
+    feats, picks = [], []
+    for _, seg, by_row in _orbits(body):
+        pos = seg.start + by_row
+        vals = z[:, pos, :]
+        arg = np.argmax(vals, axis=1)
+        feats.append(np.take_along_axis(vals, arg[:, None, :], axis=1)[:, 0, :])
+        picks.append(pos[arg])
+    return np.concatenate(feats, axis=1), picks
 
 
-def _pool_backward(model: InvariantReyNet, cache, dfeats: np.ndarray) -> np.ndarray:
+def _pool_backward(model: InvariantReyNet, picks, dfeats: np.ndarray) -> np.ndarray:
+    """Upstream of the plan-order body outputs from that of the features."""
     body = model.body
-    n = body.n
     b = body.channels_out
     batch = dfeats.shape[0]
-    if cache[0] == "orbit_sum":
-        mat = cache[1]
-        dpool = dfeats.reshape(batch, mat.shape[0], b)
-        return np.einsum("kr,bkc->brc", mat, dpool)
-    _, diag_arg, off_arg = cache
-    dy = np.zeros((batch, n * n, b))
-    d_diag = dfeats[:, :b]
-    d_off = dfeats[:, b:]
+    shape = (batch, body.n**body.order_out, b)
+    if model.pooling == "orbit_sum":
+        dz = np.empty(shape)
+        for k, (depth, seg, _) in enumerate(_orbits(body)):
+            dz[:, seg, :] = (factorial(body.n - depth) * dfeats[:, k * b : (k + 1) * b])[:, None, :]
+        return dz
+    dz = np.zeros(shape)
     bi = np.arange(batch)[:, None]
     ci = np.arange(b)[None, :]
-    diag_rows = diag_arg * (n + 1)
-    np.add.at(dy, (bi, diag_rows, ci), d_diag)
-    np.add.at(dy, (bi, off_arg, ci), d_off)
-    return dy
+    for k, pick in enumerate(picks):
+        np.add.at(dz, (bi, pick, ci), dfeats[:, k * b : (k + 1) * b])
+    return dz
 
 
 def invariant_forward_batch(model: InvariantReyNet, flat_x: np.ndarray) -> np.ndarray:
-    y = forward_batch(model.body, flat_x)
-    feats, _ = _pool_forward(model, y)
+    z, _ = plan_forward(model.body, flat_x)
+    feats, _ = _pool_forward(model, z)
     return mlp_forward(model.head, feats)
 
 
@@ -451,21 +411,6 @@ def invariant_forward(model: InvariantReyNet, x: DenseTensor) -> np.ndarray:
     if (x.n, x.order, x.channels) != (body.n, body.order_in, body.channels_in):
         raise ValueError("input tensor does not match the model signature")
     return invariant_forward_batch(model, x.data.reshape(1, -1))[0]
-
-
-def invariant_forward_batch_cached(model: InvariantReyNet, flat_x: np.ndarray):
-    y, body_caches = forward_batch_cached(model.body, flat_x)
-    feats, pool_cache = _pool_forward(model, y)
-    out, head_acts = mlp_forward_cached(model.head, feats)
-    return out, (body_caches, pool_cache, head_acts)
-
-
-def invariant_backward_from_cache(model: InvariantReyNet, caches, upstream: np.ndarray):
-    body_caches, pool_cache, head_acts = caches
-    dw_head, db_head, dfeats = mlp_backward(model.head, head_acts, upstream)
-    dy = _pool_backward(model, pool_cache, dfeats)
-    body_grads = backward_from_cache(model.body, body_caches, dy)
-    return body_grads, (dw_head, db_head)
 
 
 def transfer_invariant(model: InvariantReyNet, n_new: int) -> InvariantReyNet:
@@ -512,4 +457,67 @@ def flat_forward(model: FlatNet, x: DenseTensor):
         model.order_out,
         model.channels_out,
         out.reshape((model.n,) * model.order_out + (model.channels_out,)),
+    )
+
+
+class Trainable(NamedTuple):
+    """A model's training path.
+
+    ``forward(flat_x)`` returns (outputs, cache) and ``backward(cache,
+    upstream)`` the gradients of sum(upstream * outputs), one per array of
+    ``params`` and in the same order.
+    """
+
+    params: list[np.ndarray]
+    forward: Callable
+    backward: Callable
+
+
+def _mlp_arrays(mlps) -> list[np.ndarray]:
+    return [a for p in mlps for a in p.weights + p.biases]
+
+
+def trainable(model, corner: bool = False) -> Trainable:
+    """The training path of any model family.
+
+    Equivariant outputs come in plan order, the representative entries only
+    with `corner`; invariant and flat outputs are the evaluated ones.
+    """
+    if isinstance(model, EquivariantReyNet):
+        return Trainable(
+            _mlp_arrays(model.components[t] for t in model.tableaux),
+            lambda x: plan_forward(model, x, corner=corner, cached=True),
+            lambda cache, up: backward_from_cache(model, cache, up),
+        )
+    if corner:
+        raise ValueError("corner outputs exist for equivariant models only")
+    if isinstance(model, FlatNet):
+
+        def flat_backward(acts, up):
+            dw, db, _ = mlp_backward(model.params, acts, up)
+            return dw + db
+
+        return Trainable(
+            _mlp_arrays([model.params]),
+            lambda x: mlp_forward_cached(model.params, x),
+            flat_backward,
+        )
+    body = model.body
+
+    def forward(x):
+        z, body_cache = plan_forward(body, x, cached=True)
+        feats, picks = _pool_forward(model, z)
+        out, head_acts = mlp_forward_cached(model.head, feats)
+        return out, (body_cache, picks, head_acts)
+
+    def backward(cache, up):
+        body_cache, picks, head_acts = cache
+        dw, db, dfeats = mlp_backward(model.head, head_acts, up)
+        dz = _pool_backward(model, picks, dfeats)
+        return backward_from_cache(body, body_cache, dz) + dw + db
+
+    return Trainable(
+        _mlp_arrays([*(body.components[t] for t in body.tableaux), model.head]),
+        forward,
+        backward,
     )

@@ -12,9 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import CounterRng
-from .tensors import DenseTensor, corner_rows
-
-LOSS_KINDS = ("standard_mse", "corner_mse")
 
 
 @dataclass
@@ -47,9 +44,10 @@ def mlp_forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
     h = np.asarray(x, dtype=np.float64)
     last = len(params.weights) - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w.T + b
+        h = h @ w.T
+        h += b
         if k != last:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
     return h
 
 
@@ -59,9 +57,10 @@ def mlp_forward_cached(params: MLPParams, x: np.ndarray):
     acts = [h]
     last = len(params.weights) - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w.T + b
+        h = h @ w.T
+        h += b
         if k != last:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
         acts.append(h)
     return h, acts
 
@@ -84,13 +83,6 @@ def mlp_backward(params: MLPParams, acts: list[np.ndarray], upstream: np.ndarray
     return d_weights, d_biases, dz
 
 
-def mlp_grad(params: MLPParams, x: np.ndarray, upstream: np.ndarray):
-    """Convenience wrapper: ((dW, db), dx) for a single linearized output."""
-    _, acts = mlp_forward_cached(params, x)
-    dw, db, dx = mlp_backward(params, acts, upstream)
-    return (dw, db), dx
-
-
 @dataclass
 class AdamState:
     step: int
@@ -99,20 +91,19 @@ class AdamState:
     beta1: float
     beta2: float
     eps: float
-    m_weights: list[np.ndarray]
-    v_weights: list[np.ndarray]
-    m_biases: list[np.ndarray]
-    v_biases: list[np.ndarray]
+    m: list[np.ndarray]  # first moments, one per parameter array
+    v: list[np.ndarray]  # second moments
 
 
 def init_adam(
-    params: MLPParams,
+    params: list[np.ndarray],
     lr: float = 1e-3,
     weight_decay: float = 1e-5,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> AdamState:
+    """Optimizer state for a flat list of parameter arrays."""
     return AdamState(
         0,
         lr,
@@ -120,34 +111,24 @@ def init_adam(
         beta1,
         beta2,
         eps,
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-        [np.zeros_like(b) for b in params.biases],
+        [np.zeros_like(p) for p in params],
+        [np.zeros_like(p) for p in params],
     )
 
 
-def adam_step(state: AdamState, params: MLPParams, d_weights, d_biases):
+def adam_step(state: AdamState, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
     """Decoupled weight decay, then Adam with bias correction.  In place."""
     state.step += 1
     t = state.step
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
-    for p, g, m, v in zip(params.weights, d_weights, state.m_weights, state.v_weights):
+    for p, g, m, v in zip(params, grads, state.m, state.v, strict=True):
         p -= state.lr * state.weight_decay * p
         m *= state.beta1
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * np.square(g)
         p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-    for p, g, m, v in zip(params.biases, d_biases, state.m_biases, state.v_biases):
-        p -= state.lr * state.weight_decay * p
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-    return state, params
 
 
 def mse_loss(prediction: np.ndarray, target: np.ndarray):
@@ -156,39 +137,3 @@ def mse_loss(prediction: np.ndarray, target: np.ndarray):
     value = float(np.mean(np.square(diff)))
     grad = (2.0 / diff.size) * diff
     return value, grad
-
-
-def masked_rows_loss(prediction: np.ndarray, target: np.ndarray, rows: np.ndarray):
-    """MSE restricted to the given flat rows of (..., rows, channels) arrays.
-
-    The gradient is zero off the selected rows.
-    """
-    diff = prediction[..., rows, :] - target[..., rows, :]
-    value = float(np.mean(np.square(diff)))
-    grad = np.zeros_like(prediction)
-    grad[..., rows, :] = (2.0 / diff.size) * diff
-    return value, grad
-
-
-def loss(kind: str, prediction: DenseTensor, target: DenseTensor):
-    """Training loss over an output tensor: value and gradient tensor.
-
-    "standard_mse" averages over every entry; "corner_mse" averages over the
-    orbit-representative entries only (for order 2 that is the first entry of
-    the first row and the second entry of the first row, per channel).
-    """
-    if kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss kind {kind!r}, expected one of {LOSS_KINDS}")
-    if (prediction.n, prediction.order, prediction.channels) != (
-        target.n,
-        target.order,
-        target.channels,
-    ):
-        raise ValueError("prediction and target shapes differ")
-    if kind == "standard_mse":
-        value, grad = mse_loss(prediction.data, target.data)
-        return value, DenseTensor(prediction.n, prediction.order, prediction.channels, grad)
-    rows = corner_rows(prediction.n, prediction.order)
-    value, flat_grad = masked_rows_loss(prediction.flat, target.flat, rows)
-    grad = flat_grad.reshape(prediction.data.shape)
-    return value, DenseTensor(prediction.n, prediction.order, prediction.channels, grad)

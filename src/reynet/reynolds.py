@@ -29,8 +29,6 @@ from .groups import (
 from .rng import CounterRng
 from .tensors import DenseTensor, permute_tensor
 
-DESIGN_GAP_TOLERANCE = 1e-9
-
 
 @dataclass(frozen=True)
 class VectorFunction:
@@ -103,38 +101,6 @@ def reynolds_invariant_design(f: VectorFunction, x: DenseTensor, design: Design)
     if design.n != f.n:
         raise ValueError(f"design on {design.n} vs map on {f.n}")
     return _invariant_mean(f, x, design.elements)
-
-
-@dataclass(frozen=True)
-class DesignReport:
-    """Outcome of comparing a design average against the full-group average."""
-
-    trials: int
-    max_abs_gap: float
-    passed: bool
-
-
-def verify_design(f: VectorFunction, design: Design, trials: int, seed: int) -> DesignReport:
-    """Sup-norm gap between design and full averages on random inputs.
-
-    Inputs are uniform on [-1, 1) from the documented counter generator, so
-    reports are reproducible.  Zero trials pass vacuously.
-    """
-    rng = CounterRng(seed)
-    gap = 0.0
-    shape = (f.n,) * f.order_in + (f.channels_in,)
-    size = int(np.prod(shape))
-    for _ in range(trials):
-        x = DenseTensor(f.n, f.order_in, f.channels_in, rng.uniform(-1.0, 1.0, size).reshape(shape))
-        if f.order_out is None:
-            full = reynolds_invariant(f, x)
-            sub = reynolds_invariant_design(f, x, design)
-            gap = max(gap, float(np.max(np.abs(full - sub))))
-        else:
-            full = reynolds_equivariant(f, x)
-            sub = reynolds_equivariant_design(f, x, design)
-            gap = max(gap, float(np.max(np.abs(full.data - sub.data))))
-    return DesignReport(trials, gap, gap <= DESIGN_GAP_TOLERANCE)
 
 
 @dataclass(frozen=True)

@@ -179,14 +179,6 @@ def base_indices(tableau: BasisTableau) -> tuple[int, ...]:
     return tableau_to_indices(ext)
 
 
-def shape_of(u: tuple[int, ...]) -> YoungDiagram:
-    """Value multiplicities of u, sorted decreasing."""
-    counts: dict[int, int] = {}
-    for v in u:
-        counts[v] = counts.get(v, 0) + 1
-    return YoungDiagram(len(u), tuple(sorted(counts.values(), reverse=True)))
-
-
 def normalizing_permutation(labels: tuple[int, ...], n: int) -> Permutation:
     """The unique design element sending label d to d for every row.
 

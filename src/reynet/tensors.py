@@ -31,18 +31,6 @@ class DenseTensor:
         if not np.isfinite(self.data).all():
             raise ValueError("tensor entries must be finite")
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray, n: int | None = None) -> "DenseTensor":
-        arr = np.ascontiguousarray(arr, dtype=np.float64)
-        if arr.ndim == 0:
-            raise ValueError("need at least a channel axis")
-        order = arr.ndim - 1
-        if n is None:
-            if order == 0:
-                raise ValueError("n is ambiguous for order-0 tensors; pass it")
-            n = arr.shape[0]
-        return cls(n, order, arr.shape[-1], arr)
-
     @property
     def flat(self) -> np.ndarray:
         """View as (n^order, channels)."""
@@ -137,25 +125,3 @@ def corner_rows(n: int, m: int) -> np.ndarray:
     return np.array(
         [flat_index(base_indices(t), n) for t in all_basis_tableaux(m)], dtype=np.int64
     )
-
-
-def corner_components(y: DenseTensor) -> np.ndarray:
-    """Entries at the representative index of each orbit: shape (|census|, b).
-
-    These determine the whole tensor of an equivariant map, and are fixed by
-    any permutation stabilizing 1..m pointwise.
-    """
-    return y.flat[corner_rows(y.n, y.order)]
-
-
-def zero_pad(x: np.ndarray, n: int, order: int) -> DenseTensor:
-    """Embed (d, a) rows into the first d flat rows of an order-`order` tensor."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected (rows, channels), got shape {x.shape}")
-    d, a = x.shape
-    if d > n**order:
-        raise ValueError(f"{d} rows do not fit in n^order = {n**order}")
-    flat = np.zeros((n**order, a))
-    flat[:d] = x
-    return DenseTensor(n, order, a, flat.reshape((n,) * order + (a,)))

@@ -25,31 +25,19 @@ from .models import (
     EquivariantReyNet,
     FlatNet,
     InvariantReyNet,
-    backward_from_cache,
     build_equivariant,
     build_flat,
     build_invariant,
-    corner_backward_from_cache,
-    corner_forward_batch_cached,
     default_reduced_spec,
     forward_batch,
-    forward_batch_cached,
-    invariant_backward_from_cache,
     invariant_forward_batch,
-    invariant_forward_batch_cached,
+    plan_rows,
+    trainable,
     transfer_invariant,
     transfer_n,
 )
-from .nn import (
-    adam_step,
-    init_adam,
-    mlp_backward,
-    mlp_forward,
-    mlp_forward_cached,
-    mse_loss,
-)
+from .nn import adam_step, init_adam, mlp_forward, mse_loss
 from .rng import CounterRng
-from .tensors import corner_rows
 
 MODEL_CHOICES = ("fnn", "maron-skip", "reynet", "red-reynet")
 LOSS_CHOICES = {"mse": "standard_mse", "corner": "corner_mse"}
@@ -64,6 +52,11 @@ MARON_SKIP_NOTE = (
 # parallel workers regenerate byte-identical data.
 TRAIN_SEED_BASE = 10_000
 TEST_SEED_BASE = 20_000
+
+# Evaluation chunks hold at most this many component rows (one sample at
+# least): 200 samples at n = 5, 50 at n = 10.  Chunks four times larger ran
+# up to 1.2x slower per row, their activations no longer fitting in cache.
+EVAL_CHUNK_ROWS = 5_000
 
 
 def dataset_seed(task: TaskSpec, n: int, split: str) -> int:
@@ -151,8 +144,22 @@ def _tensor_targets(ds: Dataset) -> np.ndarray:
     return ds.targets.reshape(ds.count, -1, 1)
 
 
-def evaluate_mse(model, ds: Dataset, chunk: int = 200) -> float:
-    """Full mean squared error of the model on a dataset, in chunks."""
+def _rows_per_sample(model) -> int:
+    """Component rows one sample puts through the model's MLPs at once."""
+    if isinstance(model, FlatNet):
+        return 1
+    body = model.body if isinstance(model, InvariantReyNet) else model
+    return body.n**body.order_out
+
+
+def evaluate_mse(model, ds: Dataset) -> float:
+    """Full mean squared error of the model on a dataset.
+
+    Samples go through in chunks of at most EVAL_CHUNK_ROWS component rows,
+    or one sample where that alone has more, so memory grows with one
+    sample's rows at most as n grows.
+    """
+    chunk = max(1, EVAL_CHUNK_ROWS // _rows_per_sample(model))
     x = _flat_inputs(ds)
     if isinstance(model, FlatNet):
         t = ds.targets.reshape(ds.count, -1)
@@ -174,66 +181,35 @@ def evaluate_mse(model, ds: Dataset, chunk: int = 200) -> float:
     return total / size
 
 
-def _train_flat(model: FlatNet, cfg: RunConfig, seed: int, train_ds: Dataset) -> None:
+def _train(model, cfg: RunConfig, seed: int, train_ds: Dataset) -> None:
+    """Minibatch AdamW on the MSE of the model's training outputs.
+
+    Equivariant models train on plan-order outputs against targets permuted
+    into plan order once; the corner loss keeps the representative entries.
+    A non-finite training loss stops the run with a ValueError.
+    """
+    corner = cfg.loss == "corner"
+    params, forward, backward = trainable(model, corner)
     x = _flat_inputs(train_ds)
     t = train_ds.targets.reshape(train_ds.count, -1)
-    state = init_adam(model.params, cfg.lr, cfg.weight_decay)
+    if isinstance(model, EquivariantReyNet):
+        t = t[:, plan_rows(model, corner), None]
+    state = init_adam(params, cfg.lr, cfg.weight_decay)
     shuffles = CounterRng(seed).split(1)
-    for epoch in range(cfg.epochs):
-        order = shuffles.split(epoch).shuffled_indices(train_ds.count)
-        for start in range(0, train_ds.count, cfg.batch):
-            idx = order[start : start + cfg.batch]
-            out, acts = mlp_forward_cached(model.params, x[idx])
-            _, grad = mse_loss(out, t[idx])
-            dw, db, _ = mlp_backward(model.params, acts, grad)
-            adam_step(state, model.params, dw, db)
-
-
-def _train_equivariant(
-    model: EquivariantReyNet, cfg: RunConfig, seed: int, train_ds: Dataset
-) -> None:
-    x = _flat_inputs(train_ds)
-    t = _tensor_targets(train_ds)
-    corner = cfg.loss == "corner"
-    if corner:
-        t = t[:, corner_rows(model.n, model.order_out), :]
-    states = {tab: init_adam(model.components[tab], cfg.lr, cfg.weight_decay) for tab in model.tableaux}
-    shuffles = CounterRng(seed).split(1)
-    for epoch in range(cfg.epochs):
-        order = shuffles.split(epoch).shuffled_indices(train_ds.count)
-        for start in range(0, train_ds.count, cfg.batch):
-            idx = order[start : start + cfg.batch]
-            if corner:
-                out, caches = corner_forward_batch_cached(model, x[idx])
-                _, grad = mse_loss(out, t[idx])
-                grads = corner_backward_from_cache(model, caches, grad)
-            else:
-                out, caches = forward_batch_cached(model, x[idx])
-                _, grad = mse_loss(out, t[idx])
-                grads = backward_from_cache(model, caches, grad)
-            for tab, (dw, db) in grads.items():
-                adam_step(states[tab], model.components[tab], dw, db)
-
-
-def _train_invariant(
-    model: InvariantReyNet, cfg: RunConfig, seed: int, train_ds: Dataset
-) -> None:
-    x = _flat_inputs(train_ds)
-    t = _tensor_targets(train_ds)
-    body = model.body
-    states = {tab: init_adam(body.components[tab], cfg.lr, cfg.weight_decay) for tab in body.tableaux}
-    head_state = init_adam(model.head, cfg.lr, cfg.weight_decay)
-    shuffles = CounterRng(seed).split(1)
-    for epoch in range(cfg.epochs):
-        order = shuffles.split(epoch).shuffled_indices(train_ds.count)
-        for start in range(0, train_ds.count, cfg.batch):
-            idx = order[start : start + cfg.batch]
-            out, caches = invariant_forward_batch_cached(model, x[idx])
-            _, grad = mse_loss(out, t[idx])
-            body_grads, (dw_head, db_head) = invariant_backward_from_cache(model, caches, grad)
-            for tab, (dw, db) in body_grads.items():
-                adam_step(states[tab], body.components[tab], dw, db)
-            adam_step(head_state, model.head, dw_head, db_head)
+    # an overflow surfaces as a non-finite loss, reported below; numpy's
+    # warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = shuffles.split(epoch).shuffled_indices(train_ds.count)
+            for start in range(0, train_ds.count, cfg.batch):
+                idx = order[start : start + cfg.batch]
+                out, cache = forward(x[idx])
+                value, grad = mse_loss(out, t[idx])
+                if not np.isfinite(value):
+                    raise ValueError(
+                        f"training diverged: seed {seed}, epoch {epoch}, loss {value}"
+                    )
+                adam_step(state, params, backward(cache, grad))
 
 
 @dataclass(frozen=True)
@@ -299,12 +275,7 @@ def train_seed(
     if train_ds is None or test_ds is None:
         train_ds, test_ds = load_run_datasets(cfg)
     model = build_model(cfg, seed)
-    if isinstance(model, FlatNet):
-        _train_flat(model, cfg, seed, train_ds)
-    elif isinstance(model, InvariantReyNet):
-        _train_invariant(model, cfg, seed, train_ds)
-    else:
-        _train_equivariant(model, cfg, seed, train_ds)
+    _train(model, cfg, seed, train_ds)
     kind = model_kind_for(cfg)
     records = [
         MetricsRecord(

@@ -25,17 +25,12 @@ from .groups import (
 from .models import (
     build_equivariant,
     build_invariant,
-    corner_backward_from_cache,
-    corner_forward_batch,
-    corner_forward_batch_cached,
-    backward_from_cache,
     default_reduced_spec,
     equivariant_forward,
     forward_batch,
-    forward_batch_cached,
-    invariant_backward_from_cache,
     invariant_forward_batch,
-    invariant_forward_batch_cached,
+    plan_rows,
+    trainable,
 )
 from .nn import init_params, mlp_backward, mlp_forward, mlp_forward_cached
 from .reynolds import (
@@ -50,14 +45,14 @@ from .reynolds import (
 )
 from .rng import CounterRng
 from .tableaux import (
-    BasisTableau,
     ExtendedTableau,
+    base_indices,
     enum_basis_tableaux,
     indices_to_tableau,
     normalizing_permutation,
     tableau_to_indices,
 )
-from .tensors import DenseTensor, orbit_sum, permute_tensor
+from .tensors import DenseTensor, corner_rows, orbit_sum, permute_tensor
 
 SUITE_NAMES = (
     "bijection",
@@ -204,16 +199,12 @@ def _reconstruction_gap(model, x: DenseTensor) -> float:
             contrib = np.zeros_like(literal)
             for tab in enum_basis_tableaux(m, depth):
                 val = mlp_forward(model.components[tab], feats)
-                idx = tuple(i - 1 for i in base_indices_at(tab, n))
+                idx = tuple(i - 1 for i in base_indices(tab))
                 contrib[idx] += val
             acc += permute_tensor(invert(g), DenseTensor(n, m, model.channels_out, contrib)).data
         literal += acc / model.depth_divisors[depth]
     plan = forward_batch(model, x.data.reshape(1, -1))[0]
     return float(np.max(np.abs(literal.reshape(plan.shape) - plan)))
-
-
-def base_indices_at(tab: BasisTableau, n: int) -> tuple[int, ...]:
-    return tableau_to_indices(ExtendedTableau(n, tuple(range(1, tab.depth + 1)), tab))
 
 
 def _component_features(model, x: DenseTensor, depth: int) -> np.ndarray:
@@ -273,7 +264,7 @@ def _stab_invariant_map(n: int, depth: int, seed: int) -> VectorFunction:
         vals = mlp_forward(params, feats)
         out = np.zeros((n,) * m + (1,))
         for k, tab in enumerate(tabs):
-            out[tuple(i - 1 for i in base_indices_at(tab, n))] += vals[k]
+            out[tuple(i - 1 for i in base_indices(tab))] += vals[k]
         return out
 
     return VectorFunction(n, m, 1, m, 1, fn)
@@ -321,7 +312,7 @@ def suite_orbitsum(max_n: int = 4, trials: int = 2, seed: int = 0) -> SuiteResul
                 x = _rand_tensor(rng.split(100 * n + 10 * m + t), n, m, 2)
                 pooled = orbit_sum(x)
                 for k, tab in enumerate(pooled.tableaux):
-                    u = base_indices_at(tab, n)
+                    u = base_indices(tab)
                     literal = np.zeros(x.channels)
                     for g in enumerate_symmetric(n):
                         v = permute_indices(g, u)
@@ -354,17 +345,10 @@ def _fd_max_rel(arrays, grads, objective, h: float = 1e-5) -> float:
     return worst
 
 
-def _param_grad_pairs(params, dw, db):
-    arrays, grads = [], []
-    for k in range(len(params.weights)):
-        arrays.append(params.weights[k])
-        grads.append(dw[k])
-        arrays.append(params.biases[k])
-        grads.append(db[k])
-    return arrays, grads
-
-
 def suite_gradcheck(max_n: int = 3, trials: int = 0, seed: int = 0) -> SuiteResult:
+    """Hand-derived gradients against central differences, coordinate by
+    coordinate: the MLP, then each model's training path, whose outputs
+    the objectives read back through the dense forwards."""
     checks = []
     rng = CounterRng(seed)
     tol = 1e-6
@@ -374,50 +358,40 @@ def suite_gradcheck(max_n: int = 3, trials: int = 0, seed: int = 0) -> SuiteResu
     up = rng.split(2).uniform(-1.0, 1.0, 6).reshape(3, 2)
     _, acts = mlp_forward_cached(params, x)
     dw, db, dx = mlp_backward(params, acts, up)
-    arrays, grads = _param_grad_pairs(params, dw, db)
-    arrays.append(x)
-    grads.append(dx)
-    gap = _fd_max_rel(arrays, grads, lambda: float(np.sum(up * mlp_forward(params, x))))
+    arrays = params.weights + params.biases + [x]
+    gap = _fd_max_rel(arrays, dw + db + [dx], lambda: float(np.sum(up * mlp_forward(params, x))))
     checks.append(CheckRow("mlp parameters and input", gap, gap <= tol))
 
     n = max(3, min(max_n, 4))
     xb = rng.split(3).uniform(-1.0, 1.0, 2 * n * n).reshape(2, n * n)
+
+    def path_gap(model, upstream, objective, corner=False):
+        path = trainable(model, corner)
+        _, cache = path.forward(xb)
+        return _fd_max_rel(path.params, path.backward(cache, upstream), objective)
+
     upb = rng.split(4).uniform(-1.0, 1.0, 2 * n * n).reshape(2, n * n, 1)
     for reduced, tag in ((None, "full"), (default_reduced_spec(2), "reduced")):
         model = build_equivariant(rng.split(5).key, n, 2, 1, 2, 1, (8, 8), reduced)
-        _, caches = forward_batch_cached(model, xb)
-        gmap = backward_from_cache(model, caches, upb)
-        arrays, grads = [], []
-        for tab in model.tableaux:
-            a, g = _param_grad_pairs(model.components[tab], *gmap[tab])
-            arrays += a
-            grads += g
-        gap = _fd_max_rel(arrays, grads, lambda: float(np.sum(upb * forward_batch(model, xb))))
+        gap = path_gap(
+            model,
+            upb[:, plan_rows(model), :],
+            lambda: float(np.sum(upb * forward_batch(model, xb))),
+        )
         checks.append(CheckRow(f"equivariant {tag} n={n}", gap, gap <= tol))
 
     model = build_equivariant(rng.split(6).key, n, 2, 1, 2, 1, (8, 8), default_reduced_spec(2))
     upc = rng.split(7).uniform(-1.0, 1.0, 2 * len(model.tableaux)).reshape(2, -1, 1)
-    _, caches = corner_forward_batch_cached(model, xb)
-    gmap = corner_backward_from_cache(model, caches, upc)
-    arrays, grads = [], []
-    for tab in model.tableaux:
-        a, g = _param_grad_pairs(model.components[tab], *gmap[tab])
-        arrays += a
-        grads += g
-    gap = _fd_max_rel(arrays, grads, lambda: float(np.sum(upc * corner_forward_batch(model, xb))))
+    rows = corner_rows(n, 2)
+    gap = path_gap(
+        model, upc, lambda: float(np.sum(upc * forward_batch(model, xb)[:, rows, :])), corner=True
+    )
     checks.append(CheckRow(f"corner entries n={n}", gap, gap <= tol))
 
     for pooling in ("max_diag_offdiag", "orbit_sum"):
         inv = build_invariant(rng.split(8).key, n, 2, 1, 2, 3, 2, (8, 8), default_reduced_spec(2), pooling)
         upi = rng.split(9).uniform(-1.0, 1.0, 4).reshape(2, 2)
-        _, caches = invariant_forward_batch_cached(inv, xb)
-        body_g, (dwh, dbh) = invariant_backward_from_cache(inv, caches, upi)
-        arrays, grads = _param_grad_pairs(inv.head, dwh, dbh)
-        for tab in inv.body.tableaux:
-            a, g = _param_grad_pairs(inv.body.components[tab], *body_g[tab])
-            arrays += a
-            grads += g
-        gap = _fd_max_rel(arrays, grads, lambda: float(np.sum(upi * invariant_forward_batch(inv, xb))))
+        gap = path_gap(inv, upi, lambda: float(np.sum(upi * invariant_forward_batch(inv, xb))))
         checks.append(CheckRow(f"invariant {pooling} n={n}", gap, gap <= tol))
     return SuiteResult("gradcheck", tuple(checks))
 

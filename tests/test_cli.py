@@ -144,6 +144,47 @@ def test_sweep_rejects_unreduced_checkpoints(tmp_path):
                "--count", "5", "--out", tmp_path / "s.csv") == 2
 
 
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_sweep_rejects_a_step_below_one(tmp_path, capsys, step):
+    ckpt = _train_small(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "s.csv"
+    assert run("sweep", "--checkpoint", ckpt, "--n-min", "3", "--n-max", "5",
+               "--step", step, "--count", "5", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--step" in err
+    assert not out.exists()
+
+
+def test_count_below_one_is_a_usage_error(tmp_path, capsys):
+    ckpt = _train_small(tmp_path)
+    capsys.readouterr()
+    commands = [
+        ("gen", "--task", "symmetry", "--n", "3", "--out", tmp_path / "d.bin"),
+        ("eval", "--checkpoint", ckpt, "--n", "3"),
+        ("sweep", "--checkpoint", ckpt, "--n-min", "3", "--n-max", "4"),
+    ]
+    for command in commands:
+        assert run(*command, "--count", "0") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--count" in err
+    assert not (tmp_path / "d.bin").exists()
+
+
+def test_diverging_training_exits_1_with_one_line(tmp_path, capsys):
+    metrics = tmp_path / "m.csv"
+    code = run(
+        "train", "--task", "symmetry", "--model", "red-reynet", "--n", "3",
+        "--seeds", "2", "--epochs", "2", "--train-count", "20", "--test-count", "10",
+        "--batch", "10", "--widths", "4", "--lr", "1e100", "--metrics", metrics,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "seed 2" in err and "epoch 0" in err
+    assert not metrics.exists()
+
+
 def test_verify_single_suite_passes(tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert run("verify", "--suite", "bijection", "--max-n", "4", "--out", out) == 0

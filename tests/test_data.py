@@ -62,13 +62,6 @@ def test_target_shapes_per_task():
     assert generate(TASKS["trace"], 3, 5, 0).targets.shape == (5, 1)
 
 
-def test_sample_input_wraps_one_matrix():
-    ds = generate(TASKS["symmetry"], 3, 4, 1)
-    x = ds.sample_input(2)
-    assert (x.n, x.order, x.channels) == (3, 2, 1)
-    assert np.array_equal(x.data[:, :, 0], ds.inputs[2])
-
-
 def test_file_layout_and_size(tmp_path):
     for name, outsize in (("symmetry", 9), ("diagonal", 3), ("trace", 1)):
         path = tmp_path / f"{name}.bin"

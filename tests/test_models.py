@@ -9,22 +9,25 @@ from reynet.groups import enumerate_design, enumerate_symmetric, invert
 from reynet.models import (
     EquivariantReyNet,
     ReducedSpec,
+    _pool_backward,
+    _pool_forward,
     build_equivariant,
     build_flat,
     build_invariant,
     component_input_dim,
-    corner_forward_batch,
     default_reduced_spec,
     equivariant_forward,
     flat_forward,
     forward_batch,
     invariant_forward,
     invariant_forward_batch,
+    plan_forward,
+    plan_rows,
     pooled_width,
     transfer_invariant,
     transfer_n,
 )
-from reynet.nn import mlp_forward
+from reynet.nn import MLPParams, mlp_forward
 from reynet.reynolds import reynolds_equivariant, reynolds_invariant
 from reynet.rng import CounterRng
 from reynet.tableaux import all_basis_tableaux, base_indices
@@ -44,15 +47,16 @@ def rand_input(n, order=2, channels=1, seed=0):
     return DenseTensor(n, order, channels, data)
 
 
-def constant_component(value):
-    return lambda x2d: np.full((x2d.shape[0], 1), value)
+def constant_component(d_in, value):
+    """One affine layer with zero weights: outputs `value` on any input."""
+    return MLPParams((d_in, 1), [np.zeros((1, d_in))], [np.array([value])])
 
 
 def constant_model(n, c_joined, c_split):
     tabs = all_basis_tableaux(2)
     components = {
-        tabs[0]: constant_component(c_joined),
-        tabs[1]: constant_component(c_split),
+        tabs[0]: constant_component(n * n, c_joined),
+        tabs[1]: constant_component(n * n, c_split),
     }
     divisors = {d: len(enumerate_design(n, d)) for d in (1, 2)}
     return EquivariantReyNet(n, 2, 1, 2, 1, components, None, divisors)
@@ -174,13 +178,26 @@ def test_unrestricted_reduction_is_not_exactly_equivariant():
 
 def test_corner_forward_matches_representative_rows():
     n = 4
-    model = build_equivariant(41, n, 2, 1, 2, 1, (8, 8), default_reduced_spec(2))
-    xb = CounterRng(8).uniform(-1.0, 1.0, 3 * n * n).reshape(3, n * n)
-    full = forward_batch(model, xb)
-    corner = corner_forward_batch(model, xb)
-    rows = corner_rows(n, 2)
-    assert corner.shape == (3, len(rows), 1)
-    assert np.allclose(corner, full[:, rows, :], atol=1e-12)
+    for reduced in (None, default_reduced_spec(2)):
+        model = build_equivariant(41, n, 2, 1, 2, 1, (8, 8), reduced)
+        xb = CounterRng(8).uniform(-1.0, 1.0, 3 * n * n).reshape(3, n * n)
+        full = forward_batch(model, xb)
+        corner, cache = plan_forward(model, xb, corner=True)
+        rows = corner_rows(n, 2)
+        assert cache is None
+        assert corner.shape == (3, len(rows), 1)
+        assert np.array_equal(corner, full[:, rows, :])
+
+
+def test_plan_rows_permute_the_dense_output():
+    for n, m in ((3, 1), (4, 2), (5, 2), (4, 3)):
+        model = build_equivariant(42, n, 2, 1, m, 1, (4,), default_reduced_spec(2))
+        rows = plan_rows(model)
+        assert np.array_equal(np.sort(rows), np.arange(n**m))
+        assert np.array_equal(plan_rows(model, corner=True), corner_rows(n, m))
+        xb = CounterRng(43).uniform(-1.0, 1.0, 2 * n * n).reshape(2, n * n)
+        z, _ = plan_forward(model, xb)
+        assert np.array_equal(forward_batch(model, xb)[:, rows, :], z)
 
 
 def test_averaged_scatter_recovers_orbit_delta():
@@ -241,8 +258,8 @@ def test_transferred_corner_rows_stay_aligned():
     x_small = rand_input(3, seed=12)
     x_big = np.zeros((7, 7, 1))
     x_big[:3, :3] = x_small.data
-    a = corner_forward_batch(model, x_small.data.reshape(1, -1))
-    b = corner_forward_batch(big, x_big.reshape(1, -1))
+    a, _ = plan_forward(model, x_small.data.reshape(1, -1), corner=True)
+    b, _ = plan_forward(big, x_big.reshape(1, -1), corner=True)
     assert np.allclose(a, b, atol=1e-12)
 
 
@@ -258,27 +275,61 @@ def test_pooled_width_by_kind():
 
 def test_max_pooling_splits_diagonal_and_off_diagonal():
     inv = build_invariant(81, 3, 2, 1, 2, 2, 1, (4,), default_reduced_spec(2))
-    body_out = forward_batch(inv.body, rand_input(3, seed=13).data.reshape(1, -1))
-    grid = body_out.reshape(3, 3, 2)
+    xb = rand_input(3, seed=13).data.reshape(1, -1)
+    grid = forward_batch(inv.body, xb).reshape(3, 3, 2)
     want_diag = grid[np.arange(3), np.arange(3), :].max(axis=0)
     off_mask = ~np.eye(3, dtype=bool)
     want_off = grid[off_mask].max(axis=0)
-    from reynet.models import _pool_forward
+    feats, _ = _pool_forward(inv, plan_forward(inv.body, xb)[0])
+    assert np.array_equal(feats[0, :2], want_diag)
+    assert np.array_equal(feats[0, 2:], want_off)
 
-    feats, _ = _pool_forward(inv, body_out)
-    assert np.allclose(feats[0, :2], want_diag)
-    assert np.allclose(feats[0, 2:], want_off)
+
+def dense_max_pool(y, n):
+    """Reference max pooling on dense body outputs (batch, n*n, b): the
+    first maximum in row-major order over the diagonal, then over the rest."""
+    batch, _, b = y.shape
+    diag_rows = np.arange(n) * (n + 1)
+    off_rows = np.flatnonzero(~np.eye(n, dtype=bool))
+    feats, dy = [], np.zeros_like(y)
+    for k, rows in enumerate((diag_rows, off_rows)):
+        arg = np.argmax(y[:, rows, :], axis=1)
+        picked = rows[arg]
+        feats.append(np.take_along_axis(y, picked[:, None, :], axis=1)[:, 0, :])
+        for i in range(batch):
+            for c in range(b):
+                dy[i, picked[i, c], c] += 1.0 + k
+    return np.concatenate(feats, axis=1), dy
+
+
+@pytest.mark.parametrize("constant", [False, True])
+def test_plan_order_max_pooling_picks_the_dense_reference_entry(constant):
+    # A constant input makes every depth's outputs tie; the pick must still
+    # be the lowest row-major row, or the gradient lands elsewhere.
+    n, b = 5, 3
+    inv = build_invariant(82, n, 2, 1, 2, b, 1, (6,), default_reduced_spec(2))
+    xb = CounterRng(83).uniform(-1.0, 1.0, 4 * n * n).reshape(4, n * n)
+    if constant:
+        xb[:] = 0.5
+    z, _ = plan_forward(inv.body, xb)
+    want_feats, want_dy = dense_max_pool(forward_batch(inv.body, xb), n)
+    feats, picks = _pool_forward(inv, z)
+    assert np.array_equal(feats, want_feats)
+    dfeats = np.concatenate([np.full((4, b), 1.0), np.full((4, b), 2.0)], axis=1)
+    dz = _pool_backward(inv, picks, dfeats)
+    assert np.array_equal(dz, want_dy[:, plan_rows(inv.body), :])
+    if constant:
+        assert np.array_equal(feats[:, :b], z[:, :b, :].max(axis=1))
 
 
 def test_orbit_pooling_matches_orbit_sum():
-    inv = build_invariant(91, 4, 2, 1, 2, 3, 2, (4,), None, pooling="orbit_sum")
-    x = rand_input(4, seed=14)
-    body_y = equivariant_forward(inv.body, x)
-    pooled = orbit_sum(body_y)
-    from reynet.models import _pool_forward
-
-    feats, _ = _pool_forward(inv, body_y.data.reshape(1, 16, 3))
-    assert np.allclose(feats[0], np.asarray(pooled.values).reshape(-1), atol=1e-12)
+    for reduced in (None, default_reduced_spec(2)):
+        inv = build_invariant(91, 4, 2, 1, 2, 3, 2, (4,), reduced, pooling="orbit_sum")
+        xb = rand_input(4, seed=14).data.reshape(1, -1)
+        pooled = orbit_sum(equivariant_forward(inv.body, rand_input(4, seed=14)))
+        feats, _ = _pool_forward(inv, plan_forward(inv.body, xb)[0])
+        want = np.asarray(pooled.values).reshape(-1)
+        assert np.all(np.abs(feats[0] - want) <= 1e-12 * np.abs(want))
 
 
 def test_invariant_model_shapes_and_determinism():

@@ -1,23 +1,18 @@
-"""MLP forward/backward, the optimizer contract, and the two loss kinds."""
+"""MLP forward/backward, the optimizer contract, and the MSE loss."""
 
 import numpy as np
 import pytest
 
 from reynet.nn import (
-    LOSS_KINDS,
     MLPParams,
     adam_step,
     init_adam,
     init_params,
-    loss,
-    masked_rows_loss,
     mlp_backward,
     mlp_forward,
     mlp_forward_cached,
-    mlp_grad,
     mse_loss,
 )
-from reynet.tensors import DenseTensor
 
 FD_STEP = 1e-5
 FD_TOL = 1e-6
@@ -105,66 +100,59 @@ def test_relu_derivative_is_zero_at_the_kink():
         [np.array([[1.0]]), np.array([[2.0]])],
         [np.array([0.0]), np.array([0.0])],
     )
-    (dw, db), _ = mlp_grad(params, np.array([[0.0]]), np.array([[1.0]]))
+    def grads(x):
+        _, acts = mlp_forward_cached(params, np.array([[x]]))
+        dw, db, _ = mlp_backward(params, acts, np.array([[1.0]]))
+        return dw, db
+
+    dw, db = grads(0.0)
     assert dw[0][0, 0] == 0.0
     assert db[0][0] == 0.0
     # just past the kink the same path carries gradient 2
-    (dw, db), _ = mlp_grad(params, np.array([[1e-9]]), np.array([[1.0]]))
+    dw, db = grads(1e-9)
     assert db[0][0] == 2.0
-
-
-def test_mlp_grad_matches_backward():
-    params = init_params(9, (3, 4, 2))
-    x = np.random.default_rng(4).standard_normal((5, 3))
-    up = np.ones((5, 2))
-    (dw, db), dx = mlp_grad(params, x, up)
-    _, acts = mlp_forward_cached(params, x)
-    dw2, db2, dx2 = mlp_backward(params, acts, up)
-    for a, b in zip(dw, dw2):
-        assert np.array_equal(a, b)
-    assert np.array_equal(dx, dx2)
 
 
 def test_first_adam_step_is_signed_learning_rate():
     # With zero decay, step one moves by -lr * g / (|g| + eps) elementwise.
-    params = MLPParams((2, 1), [np.array([[1.0, -2.0]])], [np.array([3.0])])
-    state = init_adam(params, lr=0.01, weight_decay=0.0)
-    g = np.array([[0.5, -0.25]])
-    adam_step(state, params, [g], [np.array([4.0])])
-    assert params.weights[0][0, 0] == pytest.approx(1.0 - 0.01 * 0.5 / (0.5 + 1e-8))
-    assert params.weights[0][0, 1] == pytest.approx(-2.0 + 0.01 * 0.25 / (0.25 + 1e-8))
-    assert params.biases[0][0] == pytest.approx(3.0 - 0.01 * 4.0 / (4.0 + 1e-8))
+    w, b = np.array([[1.0, -2.0]]), np.array([3.0])
+    state = init_adam([w, b], lr=0.01, weight_decay=0.0)
+    adam_step(state, [w, b], [np.array([[0.5, -0.25]]), np.array([4.0])])
+    assert w[0, 0] == pytest.approx(1.0 - 0.01 * 0.5 / (0.5 + 1e-8))
+    assert w[0, 1] == pytest.approx(-2.0 + 0.01 * 0.25 / (0.25 + 1e-8))
+    assert b[0] == pytest.approx(3.0 - 0.01 * 4.0 / (4.0 + 1e-8))
 
 
 def test_weight_decay_is_decoupled_from_the_gradient():
     # A zero gradient still shrinks weights, and the shrink ignores Adam's
     # moment rescaling entirely.
-    params = MLPParams((1, 1), [np.array([[10.0]])], [np.array([5.0])])
-    state = init_adam(params, lr=0.1, weight_decay=0.01)
-    adam_step(state, params, [np.zeros((1, 1))], [np.zeros(1)])
-    assert params.weights[0][0, 0] == pytest.approx(10.0 * (1.0 - 0.1 * 0.01))
-    assert params.biases[0][0] == pytest.approx(5.0 * (1.0 - 0.1 * 0.01))
+    w, b = np.array([[10.0]]), np.array([5.0])
+    state = init_adam([w, b], lr=0.1, weight_decay=0.01)
+    adam_step(state, [w, b], [np.zeros((1, 1)), np.zeros(1)])
+    assert w[0, 0] == pytest.approx(10.0 * (1.0 - 0.1 * 0.01))
+    assert b[0] == pytest.approx(5.0 * (1.0 - 0.1 * 0.01))
 
 
 def test_adam_defaults():
-    state = init_adam(init_params(0, (2, 2)))
+    params = init_params(0, (2, 2))
+    state = init_adam(params.weights + params.biases)
     assert state.lr == 1e-3
     assert state.weight_decay == 1e-5
     assert state.beta1 == 0.9
     assert state.beta2 == 0.999
     assert state.eps == 1e-8
     assert state.step == 0
+    assert [m.shape for m in state.m] == [(2, 2), (2,)]
+    assert [v.shape for v in state.v] == [(2, 2), (2,)]
 
 
 def test_adam_converges_on_a_quadratic():
-    params = MLPParams((1, 1), [np.array([[4.0]])], [np.array([-3.0])])
-    state = init_adam(params, lr=0.05, weight_decay=0.0)
+    w, b = np.array([[4.0]]), np.array([-3.0])
+    state = init_adam([w, b], lr=0.05, weight_decay=0.0)
     for _ in range(2000):
-        w = params.weights[0][0, 0]
-        b = params.biases[0][0]
-        adam_step(state, params, [np.array([[2 * (w - 1.0)]])], [np.array([2 * (b - 2.0)])])
-    assert params.weights[0][0, 0] == pytest.approx(1.0, abs=1e-3)
-    assert params.biases[0][0] == pytest.approx(2.0, abs=1e-3)
+        adam_step(state, [w, b], [2 * (w - 1.0), 2 * (b - 2.0)])
+    assert w[0, 0] == pytest.approx(1.0, abs=1e-3)
+    assert b[0] == pytest.approx(2.0, abs=1e-3)
 
 
 def test_mse_loss_value_and_gradient():
@@ -173,29 +161,3 @@ def test_mse_loss_value_and_gradient():
     value, grad = mse_loss(pred, target)
     assert value == pytest.approx((1 + 4 + 9 + 16) / 4)
     assert np.allclose(grad, 2.0 * pred / 4)
-
-
-def test_masked_rows_loss_restricts_rows():
-    pred = np.zeros((2, 4, 1))
-    pred[0, 1, 0] = 2.0
-    pred[1, 3, 0] = 7.0
-    target = np.zeros((2, 4, 1))
-    value, grad = masked_rows_loss(pred, target, np.array([0, 1]))
-    assert value == pytest.approx(4.0 / 4)  # only row 1 of sample 0 is nonzero
-    assert grad[1, 3, 0] == 0.0
-    assert grad[0, 1, 0] == pytest.approx(2.0 * 2.0 / 4)
-
-
-def test_loss_kinds_on_a_matrix_output():
-    # Prediction has a single 1 in the corner of a 2 x 2 output, target zero:
-    # full mean over 4 entries is 1/4, the corner mean over 2 entries is 1/2.
-    pred = DenseTensor(2, 2, 1, np.array([[[1.0], [0.0]], [[0.0], [0.0]]]))
-    target = DenseTensor(2, 2, 1, np.zeros((2, 2, 1)))
-    standard, _ = loss("standard_mse", pred, target)
-    corner, grad = loss("corner_mse", pred, target)
-    assert standard == pytest.approx(0.25)
-    assert corner == pytest.approx(0.5)
-    assert grad.data[1, 0, 0] == 0.0 and grad.data[1, 1, 0] == 0.0
-    with pytest.raises(ValueError):
-        loss("other", pred, target)
-    assert LOSS_KINDS == ("standard_mse", "corner_mse")

@@ -16,7 +16,6 @@ from reynet.tableaux import (
     enum_young_diagrams,
     indices_to_tableau,
     normalizing_permutation,
-    shape_of,
     tableau_to_indices,
 )
 
@@ -144,13 +143,6 @@ def test_base_indices_use_leading_labels():
             assert sorted(set(u)) == list(range(1, tab.depth + 1))
             n = max(tab.m, tab.depth)
             assert indices_to_tableau(u, n).shape == tab
-
-
-def test_shape_of_counts_multiplicities():
-    assert shape_of((2, 1, 1)).rows == (2, 1)
-    assert shape_of((5, 5, 5)).rows == (3,)
-    assert shape_of((1, 2, 3)).rows == (1, 1, 1)
-    assert shape_of((4, 4, 2, 2, 9)) == YoungDiagram(5, (2, 2, 1))
 
 
 def test_normalizing_the_leading_labels_is_the_identity():

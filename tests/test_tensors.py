@@ -11,13 +11,11 @@ from reynet.tableaux import all_basis_tableaux, base_indices
 from reynet.tensors import (
     DenseTensor,
     basis_vector,
-    corner_components,
     corner_rows,
     flat_index,
     orbit_sum,
     permute_tensor,
     scatter,
-    zero_pad,
 )
 
 
@@ -142,20 +140,3 @@ def test_corner_rows_are_representative_entries():
 def test_corner_rows_need_enough_indices():
     with pytest.raises(ValueError):
         corner_rows(2, 3)
-
-
-def test_corner_components_reads_representatives():
-    x = rand_tensor(3, 2, 2, seed=5)
-    vals = corner_components(x)
-    assert vals.shape == (2, 2)
-    assert np.array_equal(vals[0], x.data[0, 0])
-    assert np.array_equal(vals[1], x.data[0, 1])
-
-
-def test_zero_pad_embeds_leading_rows():
-    rows = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = zero_pad(rows, n=3, order=2)
-    assert out.data.shape == (3, 3, 2)
-    flat = out.data.reshape(9, 2)
-    assert np.array_equal(flat[:2], rows)
-    assert not flat[2:].any()

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from reynet import train
 from reynet.data import TASKS, generate
-from reynet.models import forward_batch
+from reynet.models import build_equivariant, default_reduced_spec, forward_batch
 from reynet.train import (
     LOSS_CHOICES,
     METRICS_HEADER,
@@ -99,13 +100,42 @@ def test_build_model_output_arity():
     assert flat.order_out is None
 
 
-def test_evaluate_mse_matches_manual_computation():
+def test_evaluate_mse_matches_manual_computation(monkeypatch):
     cfg = RunConfig(task="diagonal", model="red-reynet", n=3, **TINY)
     ds = generate(TASKS["diagonal"], 3, 12, seed=4)
     model = build_model(cfg, seed=0)
     out = forward_batch(model, ds.inputs.reshape(12, -1))
     manual = float(np.mean((out - ds.targets.reshape(12, 3, 1)) ** 2))
-    assert evaluate_mse(model, ds, chunk=5) == pytest.approx(manual, rel=1e-12)
+    monkeypatch.setattr(train, "EVAL_CHUNK_ROWS", 5 * 3)  # five samples a chunk
+    assert evaluate_mse(model, ds) == pytest.approx(manual, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, count", [(20, 30), (100, 3)])
+def test_evaluate_mse_bounds_rows_per_chunk_at_large_n(monkeypatch, n, count):
+    model = build_equivariant(0, n, 2, 1, 2, 1, (4,), default_reduced_spec(2))
+    ds = generate(TASKS["symmetry"], n, count, seed=5)
+    rows = []
+
+    def counted(model, flat_x):
+        rows.append(flat_x.shape[0] * n * n)
+        return forward_batch(model, flat_x)
+
+    monkeypatch.setattr(train, "forward_batch", counted)
+    mse = evaluate_mse(model, ds)
+    assert sum(rows) == count * n * n
+    # a chunk is one sample where a sample alone exceeds the budget
+    assert max(rows) <= max(train.EVAL_CHUNK_ROWS, n * n)
+    out = forward_batch(model, ds.inputs.reshape(count, -1))
+    manual = float(np.mean((out - ds.targets.reshape(count, -1, 1)) ** 2))
+    assert mse == pytest.approx(manual, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", ["fnn", "red-reynet"])
+@pytest.mark.parametrize("task", ["symmetry", "trace"])
+def test_diverging_training_names_seed_and_epoch(model, task):
+    cfg = RunConfig(task=task, model=model, n=3, **{**TINY, "lr": 1e100})
+    with pytest.raises(ValueError, match="diverged: seed 3, epoch 0"):
+        train_seed(cfg, 3)
 
 
 def test_training_reduces_training_error():

@@ -5,6 +5,7 @@ from .groups import (
     Permutation,
     compose,
     cyclic_group,
+    design_inverses,
     enumerate_design,
     enumerate_symmetric,
     fixes_prefix,

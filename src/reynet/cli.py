@@ -31,6 +31,7 @@ from .train import (
     append_metrics,
     dataset_seed,
     evaluate_mse,
+    missing_seeds,
     model_for_eval,
     model_kind_for,
     read_metrics,
@@ -107,11 +108,7 @@ def cmd_train(args) -> int:
     cfg = _checked_config(args, args.seeds)
     seeds = cfg.seeds
     if args.skip_existing and args.metrics:
-        done = _existing_keys(args.metrics)
-        kind = model_kind_for(cfg)
-        seeds = tuple(
-            s for s in seeds if (cfg.task, kind, cfg.loss, cfg.n, cfg.n, s, "test") not in done
-        )
+        seeds = missing_seeds(cfg, _existing_keys(args.metrics))
         if not seeds:
             print("all requested seeds already recorded; nothing to do")
             return 0
@@ -265,10 +262,7 @@ def cmd_table(args) -> int:
             validate_config(cfg)
         except ValueError as err:
             raise UsageError(str(err))
-        kind = model_kind_for(cfg)
-        missing = tuple(
-            s for s in cfg.seeds if (task, kind, loss, n, n, s, "test") not in done
-        )
+        missing = missing_seeds(cfg, done)
         if not missing:
             print(f"skip {task} {model} loss={loss} n={n}: already recorded")
             continue
@@ -280,13 +274,14 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _mean_cell(rows, task, kind, loss, n) -> str:
+def _mean_cell(rows, task, kind, loss, n, epochs) -> str:
     vals = [
         float(r["mse"])
         for r in rows
         if r["split"] == "test"
         and (r["task"], r["model"], r["loss"], int(r["n_train"]), int(r["n_test"]))
         == (task, kind, loss, n, n)
+        and int(r["epoch"]) == epochs
     ]
     return f"{np.mean(vals):.3e}" if vals else ""
 
@@ -299,12 +294,12 @@ def _write_wide_table(args, metrics_path: str, tasks, ns, losses) -> None:
         for task in tasks:
             for model in ("fnn", "reynet", "red-reynet"):
                 kind = model_kind_for(RunConfig(task=task, model=model, n=max(ns)))
-                cells = [_mean_cell(rows, task, kind, "mse", n) for n in ns]
+                cells = [_mean_cell(rows, task, kind, "mse", n, args.epochs) for n in ns]
                 lines.append(f"{task},{model}," + ",".join(cells))
     else:
         for loss in losses:
             kind = "red-reynet"
-            cells = [_mean_cell(rows, "symmetry", kind, loss, n) for n in ns]
+            cells = [_mean_cell(rows, "symmetry", kind, loss, n, args.epochs) for n in ns]
             lines.append(f"symmetry,red-reynet[{loss}]," + ",".join(cells))
     with open(out_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

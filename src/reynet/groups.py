@@ -1,4 +1,5 @@
-"""Permutations of {1..n}, cyclic factors, and Reynolds design enumeration.
+"""Permutations of {1..n}, cyclic factors, and Reynolds design enumeration,
+as Permutation objects (the reference) and as index arrays (for plans).
 
 Permutations are 1-based and stored in one-line notation.  Composition is
 (g * h)(i) = g(h(i)), so the right factor acts first.  Brute-force walks over
@@ -13,6 +14,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 BRUTE_FORCE_MAX_N = 8
 
@@ -119,6 +122,28 @@ def enumerate_design(n: int, depth: int) -> Design:
             g = compose(factors[d][powers[d]], g)
         elements.append(g)
     return Design(n, depth, tuple(elements))
+
+
+@lru_cache(maxsize=None)
+def design_inverses(n: int, depth: int) -> np.ndarray:
+    """0-based images of g^-1 for the elements g of enumerate_design(n, depth).
+
+    Row k equals ``invert(enumerate_design(n, depth).elements[k]).image``
+    minus one, built by index arithmetic: g^-1 = sigma_1^-1 * ... *
+    sigma_depth^-1, so each depth d extends every row so far by each power
+    of the inverse cycle on {d..n}, the power varying fastest as in the
+    design's order.  The array is shared between callers and read-only.
+    """
+    if not 1 <= depth <= n:
+        raise ValueError(f"depth {depth} out of range for n={n}")
+    inv = np.arange(n)[None, :]
+    for start in range(depth):
+        size = n - start
+        shifts = np.tile(np.arange(n), (size, 1))
+        shifts[:, start:] = start + (np.arange(size) - np.arange(size)[:, None]) % size
+        inv = inv[:, shifts].reshape(-1, n)
+    inv.flags.writeable = False
+    return inv
 
 
 def enumerate_symmetric(n: int) -> tuple[Permutation, ...]:

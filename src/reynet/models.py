@@ -39,22 +39,16 @@ import copy
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, perm
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .groups import enumerate_design, invert
+from .groups import design_inverses
 from .nn import MLPParams, init_params, mlp_backward, mlp_forward, mlp_forward_cached
 from .rng import CounterRng
-from .tableaux import (
-    BasisTableau,
-    ExtendedTableau,
-    all_basis_tableaux,
-    enum_basis_tableaux,
-    tableau_to_indices,
-)
-from .tensors import DenseTensor, flat_index
+from .tableaux import BasisTableau, all_basis_tableaux, base_indices, enum_basis_tableaux
+from .tensors import DenseTensor
 
 POOLINGS = ("orbit_sum", "max_diag_offdiag")
 
@@ -104,6 +98,20 @@ def component_input_dim(
     return len(reduced.active(depth)) * channels_in
 
 
+def check_signature(n: int, order_in: int, order_out: int, reduced: ReducedSpec | None) -> None:
+    """Raise ValueError unless an equivariant model of this shape can run at n."""
+    if order_in < 1 or order_out < 1:
+        raise ValueError("input and output orders must be at least 1")
+    if n < order_out:
+        raise ValueError(f"need n >= output order, got n={n}, order={order_out}")
+    if reduced is not None:
+        if not reduced.coords or any(len(c) != order_in or min(c) < 1 for c in reduced.coords):
+            raise ValueError(f"reduced coordinates {reduced.coords} are not in [1..n]^{order_in}")
+        top = max(max(c) for c in reduced.coords)
+        if top > n:
+            raise ValueError(f"reduced coordinate index {top} exceeds n={n}")
+
+
 def build_equivariant(
     seed: int,
     n: int,
@@ -114,23 +122,14 @@ def build_equivariant(
     widths: tuple[int, ...] = (128, 128),
     reduced: ReducedSpec | None = None,
 ) -> EquivariantReyNet:
-    if order_in < 1 or order_out < 1:
-        raise ValueError("input and output orders must be at least 1")
-    if n < order_out:
-        raise ValueError(f"need n >= output order, got n={n}, order={order_out}")
-    if reduced is not None:
-        top = max(max(c) for c in reduced.coords)
-        if top > n:
-            raise ValueError(f"reduced coordinate index {top} exceeds n={n}")
+    check_signature(n, order_in, order_out, reduced)
     components: dict[BasisTableau, MLPParams] = {}
     stream = CounterRng(seed)
     for k, tab in enumerate(all_basis_tableaux(order_out)):
         d_in = component_input_dim(n, order_in, channels_in, reduced, tab.depth)
         dims = (d_in,) + tuple(widths) + (channels_out,)
         components[tab] = init_params(stream.split(k).key, dims)
-    divisors = {
-        depth: len(enumerate_design(n, depth)) for depth in range(1, order_out + 1)
-    }
+    divisors = {depth: perm(n, depth) for depth in range(1, order_out + 1)}
     return EquivariantReyNet(
         n, order_in, channels_in, order_out, channels_out, components, reduced, divisors
     )
@@ -145,43 +144,31 @@ class _DepthPlan:
     by_row: np.ndarray  # per tableau: its design columns by ascending output row
 
 
+def _row_major(inv: np.ndarray, tuples: np.ndarray, n: int) -> np.ndarray:
+    """(|H|, len(tuples)) row-major positions of each 1-based index tuple
+    relabeled by each design inverse, one row of `inv` per element."""
+    flat = np.zeros((inv.shape[0], tuples.shape[0]), dtype=np.int64)
+    for column in tuples.T:
+        flat = flat * n + inv[:, column - 1]
+    return flat
+
+
 @lru_cache(maxsize=None)
 def _forward_plan(
     n: int, order_in: int, channels_in: int, order_out: int, reduced: ReducedSpec | None
 ) -> tuple[_DepthPlan, ...]:
     plans = []
-    base = np.arange(n**order_in).reshape((n,) * order_in)
     for depth in range(1, order_out + 1):
-        design = enumerate_design(n, depth)
-        inverses = [invert(g).image for g in design.elements]
-        gather_rows = []
-        for inv_im in inverses:
-            inv0 = np.array([i - 1 for i in inv_im])
-            if reduced is None:
-                pos = base[np.ix_(*([inv0] * order_in))].ravel()
-            else:
-                pos = np.array(
-                    [
-                        sum(inv0[c - 1] * n ** (order_in - 1 - j) for j, c in enumerate(coord))
-                        for coord in reduced.active(depth)
-                    ],
-                    dtype=np.int64,
-                )
-            gather_rows.append(
-                (pos[:, None] * channels_in + np.arange(channels_in)).ravel()
-            )
+        inv = design_inverses(n, depth)
+        if reduced is None:
+            coords = list(itertools.product(range(1, n + 1), repeat=order_in))
+        else:
+            coords = reduced.active(depth)
+        pos = _row_major(inv, np.array(coords), n)
+        gather = (pos[:, :, None] * channels_in + np.arange(channels_in)).reshape(len(inv), -1)
         tableaux = enum_basis_tableaux(order_out, depth)
-        rows = np.empty((len(tableaux), len(design.elements)), dtype=np.int64)
-        for ti, tab in enumerate(tableaux):
-            for gi, inv_im in enumerate(inverses):
-                labels = tuple(inv_im[:depth])
-                u = tableau_to_indices(ExtendedTableau(n, labels, tab))
-                rows[ti, gi] = flat_index(u, n)
-        plans.append(
-            _DepthPlan(
-                depth, np.array(gather_rows), tableaux, rows, np.argsort(rows, axis=1)
-            )
-        )
+        rows = _row_major(inv, np.array([base_indices(t) for t in tableaux]), n).T
+        plans.append(_DepthPlan(depth, gather, tableaux, rows, np.argsort(rows, axis=1)))
     written = np.concatenate([p.rows.ravel() for p in plans])
     if not np.array_equal(np.sort(written), np.arange(n**order_out)):
         raise AssertionError("design scatter does not cover each output row once")
@@ -290,11 +277,7 @@ def transfer_n(model: EquivariantReyNet, n_new: int) -> EquivariantReyNet:
     """
     if model.reduced is None:
         raise ValueError("only reduced models transfer across sizes")
-    if n_new < model.order_out:
-        raise ValueError(f"need n >= {model.order_out}, got {n_new}")
-    top = max(max(c) for c in model.reduced.coords)
-    if top > n_new:
-        raise ValueError(f"reduced coordinate index {top} exceeds n={n_new}")
+    check_signature(n_new, model.order_in, model.order_out, model.reduced)
     return EquivariantReyNet(
         n_new,
         model.order_in,

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -238,7 +238,8 @@ class MetricsRecord:
         )
 
     def key(self) -> tuple:
-        return (self.task, self.model, self.loss, self.n_train, self.n_test, self.seed, self.split)
+        """Every field but the mse, as ``row_key`` reads them back."""
+        return astuple(self)[:-1]
 
 
 def _hyper(cfg: RunConfig) -> dict:
@@ -354,7 +355,19 @@ def row_key(row: dict) -> tuple:
         int(row["n_train"]),
         int(row["n_test"]),
         int(row["seed"]),
+        int(row["epoch"]),
         row["split"],
+    )
+
+
+def missing_seeds(cfg: RunConfig, done: set[tuple]) -> tuple[int, ...]:
+    """Seeds of the config whose test row, at its epochs, is not in `done`
+    (a set of ``row_key``s)."""
+    kind = model_kind_for(cfg)
+    return tuple(
+        s
+        for s in cfg.seeds
+        if (cfg.task, kind, cfg.loss, cfg.n, cfg.n, s, cfg.epochs, "test") not in done
     )
 
 

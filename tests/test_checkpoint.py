@@ -132,3 +132,39 @@ def test_load_rejects_foreign_files(tmp_path):
     path.write_text(json.dumps({"format": "reynet-checkpoint", "version": 99}))
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def _tampered(tmp_path, kind, model, change):
+    path = tmp_path / "model.json"
+    save_checkpoint(path, ModelBundle(kind, "symmetry", "mse", 3, 0, HYPER, model))
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda d: d["model"].update(pooling="mean"), "unknown pooling"),
+        (lambda d: d["model"]["head"]["dims"].__setitem__(0, 3), "head: dims"),
+        (lambda d: d["model"]["body"].update(channels_out=3), "do not map"),
+        (lambda d: d.update(kind="inv-reynet"), "kind 'inv-reynet' does not match"),
+    ],
+)
+def test_load_validates_invariant_models(tmp_path, change, message):
+    _, model = list(sample_models())[4]
+    path = _tampered(tmp_path, "inv-red-reynet", model, change)
+    with pytest.raises(ValueError, match=message) as err:
+        load_checkpoint(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_load_validates_flat_models(tmp_path):
+    model = build_flat(1, 3, 2, 1, 2, 1, (4,))
+    path = _tampered(tmp_path, "fnn", model, lambda d: d["model"].update(order_out=None))
+    with pytest.raises(ValueError, match="do not map 9 features to 1"):
+        load_checkpoint(path)
+    path = _tampered(tmp_path, "fnn", model, lambda d: d["model"].update(channels_in=True))
+    with pytest.raises(ValueError, match="'channels_in' should be int, got bool"):
+        load_checkpoint(path)

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from reynet.checkpoint import ModelBundle, save_checkpoint
 from reynet.cli import main
 from reynet.data import TASKS, load_dataset
+from reynet.models import build_equivariant, default_reduced_spec
 from reynet.train import METRICS_HEADER, dataset_seed, read_metrics
 
 HEADER_SIZE = 32
@@ -73,6 +75,22 @@ def test_train_skip_existing_short_circuits(tmp_path, capsys):
     assert metrics.read_text() == first
 
 
+def test_train_skip_existing_reruns_other_epochs(tmp_path, capsys):
+    metrics = tmp_path / "metrics.csv"
+    args = (
+        "train", "--task", "diagonal", "--model", "red-reynet", "--n", "3",
+        "--seeds", "0", "--train-count", "20", "--test-count", "10",
+        "--batch", "10", "--widths", "4", "--metrics", metrics, "--skip-existing",
+    )
+    assert run(*args, "--epochs", "1") == 0
+    capsys.readouterr()
+    assert run(*args, "--epochs", "2") == 0
+    assert "nothing to do" not in capsys.readouterr().out
+    assert [r["epoch"] for r in read_metrics(metrics)] == ["1", "1", "2", "2"]
+    assert run(*args, "--epochs", "2") == 0
+    assert "nothing to do" in capsys.readouterr().out
+
+
 def test_train_maron_skip_prints_note_and_no_rows(tmp_path, capsys):
     metrics = tmp_path / "metrics.csv"
     code = run(
@@ -123,6 +141,42 @@ def test_eval_task_mismatch_is_a_usage_error(tmp_path):
 
 def test_eval_missing_checkpoint_exits_1(tmp_path):
     assert run("eval", "--checkpoint", tmp_path / "ghost.json", "--n", "3") == 1
+
+
+def _first_mlp(doc):
+    return doc["model"]["components"][0]["mlp"]
+
+
+MALFORMED = {
+    "component deleted": lambda doc: doc["model"]["components"].pop(),
+    "component doubled": lambda doc: doc["model"]["components"].append(
+        doc["model"]["components"][0]
+    ),
+    "kind missing": lambda doc: doc.pop("kind"),
+    "model not an object": lambda doc: doc.update(model=[]),
+    "n a string": lambda doc: doc["model"].update(n="3"),
+    "short weight list": lambda doc: _first_mlp(doc)["weights"][0].pop(),
+    "weight not a number": lambda doc: _first_mlp(doc)["weights"][0].__setitem__(0, "x"),
+    "bias missing": lambda doc: _first_mlp(doc)["biases"].pop(),
+    "input width": lambda doc: _first_mlp(doc)["dims"].__setitem__(0, 5),
+    "output width": lambda doc: doc["model"].update(channels_out=2),
+    "divisor missing": lambda doc: doc["model"]["depth_divisors"].pop("2"),
+    "coordinate beyond n": lambda doc: doc["model"]["reduced"].update(coords=[[1, 4]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_checkpoint_exits_1_with_one_line(tmp_path, capsys, case):
+    path = tmp_path / "model.json"
+    model = build_equivariant(0, 3, 2, 1, 2, 1, (4,), default_reduced_spec(2))
+    save_checkpoint(path, ModelBundle("red-reynet", "symmetry", "mse", 3, 0, {}, model))
+    doc = json.loads(path.read_text())
+    MALFORMED[case](doc)
+    path.write_text(json.dumps(doc))
+    assert run("eval", "--checkpoint", path, "--n", "3", "--count", "5") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("reynet: error: ")
+    assert str(path) in err and "Traceback" not in err
 
 
 def test_sweep_walks_sizes(tmp_path, capsys):
@@ -229,6 +283,26 @@ def test_table_resumes_from_metrics(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "skip" in out
     assert read_metrics(metrics) == first_rows
+
+
+def test_table_reruns_cells_trained_for_other_epochs(tmp_path, capsys):
+    outdir = tmp_path / "tables"
+    args = (
+        "table", "--which", "table2", "--out-dir", outdir, "--ns", "3", "--seeds", "0",
+        "--train-count", "20", "--test-count", "10", "--batch", "10",
+    )
+    assert run(*args, "--epochs", "1") == 0
+    capsys.readouterr()
+    assert run(*args, "--epochs", "2") == 0
+    out = capsys.readouterr().out
+    assert "skip" not in out and out.count("run symmetry") == 2
+    rows = read_metrics(outdir / "metrics.csv")
+    fresh = {
+        r["loss"]: float(r["mse"]) for r in rows if r["split"] == "test" and r["epoch"] == "2"
+    }
+    table2 = (outdir / "table2.csv").read_text().strip().splitlines()
+    assert table2[1] == f"symmetry,red-reynet[mse],{fresh['mse']:.3e}"
+    assert table2[2] == f"symmetry,red-reynet[corner],{fresh['corner']:.3e}"
 
 
 def test_metrics_header_matches_contract(tmp_path):

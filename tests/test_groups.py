@@ -3,6 +3,7 @@
 from itertools import permutations
 from math import factorial
 
+import numpy as np
 import pytest
 
 from reynet.groups import (
@@ -10,6 +11,7 @@ from reynet.groups import (
     Permutation,
     compose,
     cyclic_group,
+    design_inverses,
     enumerate_design,
     enumerate_symmetric,
     fixes_prefix,
@@ -127,3 +129,27 @@ def test_design_guards_depth_and_size():
         enumerate_design(3, 4)
     with pytest.raises(ValueError):
         enumerate_design(3, 0)
+
+
+def _inverse_images(n, depth):
+    design = enumerate_design(n, depth)
+    return np.array([[v - 1 for v in invert(g).image] for g in design.elements])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_design_inverses_follow_the_design_order(n):
+    for depth in range(1, min(n, 4) + 1):
+        assert np.array_equal(design_inverses(n, depth), _inverse_images(n, depth))
+
+
+@pytest.mark.parametrize("n", [50, 100])
+def test_design_inverses_at_large_n(n):
+    inv = design_inverses(n, 2)
+    assert inv.shape == (n * (n - 1), n) and not inv.flags.writeable
+    assert np.array_equal(inv, _inverse_images(n, 2))
+
+
+def test_design_inverses_reject_bad_depths():
+    for depth in (0, 4):
+        with pytest.raises(ValueError):
+            design_inverses(3, depth)

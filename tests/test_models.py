@@ -1,5 +1,6 @@
 """Equivariant networks: plans, reductions, corners, pooling, and transfer."""
 
+from itertools import product
 from math import factorial
 
 import numpy as np
@@ -9,6 +10,7 @@ from reynet.groups import enumerate_design, enumerate_symmetric, invert
 from reynet.models import (
     EquivariantReyNet,
     ReducedSpec,
+    _forward_plan,
     _pool_backward,
     _pool_forward,
     build_equivariant,
@@ -30,7 +32,13 @@ from reynet.models import (
 from reynet.nn import MLPParams, mlp_forward
 from reynet.reynolds import reynolds_equivariant, reynolds_invariant
 from reynet.rng import CounterRng
-from reynet.tableaux import all_basis_tableaux, base_indices
+from reynet.tableaux import (
+    ExtendedTableau,
+    all_basis_tableaux,
+    base_indices,
+    enum_basis_tableaux,
+    tableau_to_indices,
+)
 from reynet.tensors import (
     DenseTensor,
     basis_vector,
@@ -110,6 +118,58 @@ def test_forward_covers_each_output_row_once():
         expected = np.full((n, n), 1.0 / len(enumerate_design(n, 2)))
         np.fill_diagonal(expected, 1.0 / len(enumerate_design(n, 1)))
         assert np.allclose(y, expected)
+
+
+def reference_plan(n, order_in, channels_in, order_out, reduced):
+    """Per depth, (gather, rows) built one design element at a time: g^-1
+    relabels every gathered coordinate and every tableau representative."""
+    plans = []
+    for depth in range(1, order_out + 1):
+        inverses = [invert(g).image for g in enumerate_design(n, depth).elements]
+        if reduced is None:
+            coords = list(product(range(1, n + 1), repeat=order_in))
+        else:
+            coords = reduced.active(depth)
+        gather = [
+            [
+                flat_index(tuple(inv[c - 1] for c in coord), n) * channels_in + ch
+                for coord in coords
+                for ch in range(channels_in)
+            ]
+            for inv in inverses
+        ]
+        rows = [
+            [
+                flat_index(tableau_to_indices(ExtendedTableau(n, inv[:depth], tab)), n)
+                for inv in inverses
+            ]
+            for tab in enum_basis_tableaux(order_out, depth)
+        ]
+        plans.append((np.array(gather), np.array(rows)))
+    return plans
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_plan_matches_the_element_by_element_construction(n):
+    for order_in, order_out, channels_in in product((1, 2), (1, 2, 3), (1, 2)):
+        if n < order_out:
+            continue
+        specs = [None]
+        if n >= 2:
+            specs += [default_reduced_spec(order_in, restricted) for restricted in (False, True)]
+        for reduced in specs:
+            plan = _forward_plan(n, order_in, channels_in, order_out, reduced)
+            reference = reference_plan(n, order_in, channels_in, order_out, reduced)
+            assert len(plan) == len(reference)
+            for depth_plan, (gather, rows) in zip(plan, reference):
+                assert np.array_equal(depth_plan.gather, gather)
+                assert np.array_equal(depth_plan.rows, rows)
+                assert np.array_equal(depth_plan.by_row, np.argsort(rows, axis=1))
+
+
+def test_divisors_are_the_design_sizes():
+    model = build_equivariant(0, 5, 2, 1, 3, 1, (4,), default_reduced_spec(2))
+    assert model.depth_divisors == {d: len(enumerate_design(5, d)) for d in (1, 2, 3)}
 
 
 def test_evaluation_count_is_quadratic_for_matrices():

@@ -210,7 +210,7 @@ def test_metrics_csv_round_trip(tmp_path):
     rows = read_metrics(path)
     assert len(rows) == 3
     assert rows[0]["mse"] == "0.5"
-    assert row_key(rows[1]) == ("symmetry", "red-reynet", "mse", 3, 3, 0, "test")
+    assert row_key(rows[1]) == ("symmetry", "red-reynet", "mse", 3, 3, 0, 2, "test")
     assert float(rows[2]["mse"]) == 1.25
     assert {r.key() for r in recs} <= {row_key(r) for r in rows}
 

@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .groups import design_inverses
-from .nn import MLPParams, init_params, mlp_backward, mlp_forward, mlp_forward_cached
+from .nn import MLPParams, Workspace, init_params, mlp_backward, mlp_forward, mlp_forward_cached
 from .rng import CounterRng
 from .tableaux import BasisTableau, all_basis_tableaux, base_indices, enum_basis_tableaux
 from .tensors import DenseTensor
@@ -201,14 +201,16 @@ def plan_forward(
     corner: bool = False,
     cached: bool = False,
     count: list[int] | None = None,
+    ws: Workspace | None = None,
 ):
     """(batch, n^order_in * channels_in) -> plan-order outputs and a cache.
 
     The outputs are (batch, rows, channels_out), row k holding output row
     ``plan_rows(model, corner)[k]``; `corner` evaluates only the identity
     column of each design.  The cache holds what ``backward_from_cache``
-    needs when `cached` is set and is None otherwise.  `count`, when given,
-    accumulates the number of component evaluations.
+    needs when `cached` is set and is None otherwise; with `ws` it points
+    into the workspace and lasts until the next forward.  `count`, when
+    given, accumulates the number of component evaluations.
     """
     cols = _columns(corner)
     batch = flat_x.shape[0]
@@ -222,10 +224,10 @@ def plan_forward(
         for tab in plan.tableaux:
             comp = model.components[tab]
             if cached:
-                v, acts = mlp_forward_cached(comp, flat_in)
+                v, acts = mlp_forward_cached(comp, flat_in, ws, tab)
                 cache.append((tab, slice(start, start + size), scale, acts))
             else:
-                v = mlp_forward(comp, flat_in)
+                v = mlp_forward(comp, flat_in, ws)
             if count is not None:
                 count[0] += batch * size
             outs.append(v.reshape(batch, size, -1) * scale)
@@ -233,26 +235,34 @@ def plan_forward(
     return np.concatenate(outs, axis=1), (cache if cached else None)
 
 
-def backward_from_cache(model: EquivariantReyNet, cache, upstream: np.ndarray) -> list[np.ndarray]:
+def backward_from_cache(
+    model: EquivariantReyNet, cache, upstream: np.ndarray, ws: Workspace | None = None
+) -> list[np.ndarray]:
     """Gradients of sum(upstream * plan-order outputs), one per parameter
     array in census order: each component's weights, then its biases."""
     grads = []
     for tab, rows, scale, acts in cache:
         up = upstream[:, rows, :] * scale
-        dw, db, _ = mlp_backward(model.components[tab], acts, up.reshape(-1, up.shape[-1]))
+        dw, db, _ = mlp_backward(
+            model.components[tab], acts, up.reshape(-1, up.shape[-1]), ws, input_grad=False
+        )
         grads += dw + db
     return grads
 
 
 def forward_batch(
-    model: EquivariantReyNet, flat_x: np.ndarray, count: list[int] | None = None
+    model: EquivariantReyNet,
+    flat_x: np.ndarray,
+    count: list[int] | None = None,
+    ws: Workspace | None = None,
 ) -> np.ndarray:
     """(batch, n^order_in * channels_in) -> (batch, n^order_out, channels_out).
 
     The dense boundary: plan-order outputs scattered to row-major rows.
-    `count`, when given, accumulates the number of component evaluations.
+    `count`, when given, accumulates the number of component evaluations;
+    `ws` holds the components' hidden layers.
     """
-    z, _ = plan_forward(model, flat_x, count=count)
+    z, _ = plan_forward(model, flat_x, count=count, ws=ws)
     y = np.empty_like(z)
     y[:, plan_rows(model), :] = z
     return y
@@ -383,10 +393,12 @@ def _pool_backward(model: InvariantReyNet, picks, dfeats: np.ndarray) -> np.ndar
     return dz
 
 
-def invariant_forward_batch(model: InvariantReyNet, flat_x: np.ndarray) -> np.ndarray:
-    z, _ = plan_forward(model.body, flat_x)
+def invariant_forward_batch(
+    model: InvariantReyNet, flat_x: np.ndarray, ws: Workspace | None = None
+) -> np.ndarray:
+    z, _ = plan_forward(model.body, flat_x, ws=ws)
     feats, _ = _pool_forward(model, z)
-    return mlp_forward(model.head, feats)
+    return mlp_forward(model.head, feats, ws)
 
 
 def invariant_forward(model: InvariantReyNet, x: DenseTensor) -> np.ndarray:
@@ -460,44 +472,46 @@ def _mlp_arrays(mlps) -> list[np.ndarray]:
     return [a for p in mlps for a in p.weights + p.biases]
 
 
-def trainable(model, corner: bool = False) -> Trainable:
+def trainable(model, corner: bool = False, ws: Workspace | None = None) -> Trainable:
     """The training path of any model family.
 
     Equivariant outputs come in plan order, the representative entries only
-    with `corner`; invariant and flat outputs are the evaluated ones.
+    with `corner`; invariant and flat outputs are the evaluated ones.  With
+    `ws`, every forward's cache lives in the workspace until the next
+    forward, so each forward's backward must come before the next forward.
     """
     if isinstance(model, EquivariantReyNet):
         return Trainable(
             _mlp_arrays(model.components[t] for t in model.tableaux),
-            lambda x: plan_forward(model, x, corner=corner, cached=True),
-            lambda cache, up: backward_from_cache(model, cache, up),
+            lambda x: plan_forward(model, x, corner=corner, cached=True, ws=ws),
+            lambda cache, up: backward_from_cache(model, cache, up, ws),
         )
     if corner:
         raise ValueError("corner outputs exist for equivariant models only")
     if isinstance(model, FlatNet):
 
         def flat_backward(acts, up):
-            dw, db, _ = mlp_backward(model.params, acts, up)
+            dw, db, _ = mlp_backward(model.params, acts, up, ws, input_grad=False)
             return dw + db
 
         return Trainable(
             _mlp_arrays([model.params]),
-            lambda x: mlp_forward_cached(model.params, x),
+            lambda x: mlp_forward_cached(model.params, x, ws),
             flat_backward,
         )
     body = model.body
 
     def forward(x):
-        z, body_cache = plan_forward(body, x, cached=True)
+        z, body_cache = plan_forward(body, x, cached=True, ws=ws)
         feats, picks = _pool_forward(model, z)
-        out, head_acts = mlp_forward_cached(model.head, feats)
+        out, head_acts = mlp_forward_cached(model.head, feats, ws, "head")
         return out, (body_cache, picks, head_acts)
 
     def backward(cache, up):
         body_cache, picks, head_acts = cache
-        dw, db, dfeats = mlp_backward(model.head, head_acts, up)
+        dw, db, dfeats = mlp_backward(model.head, head_acts, up, ws)
         dz = _pool_backward(model, picks, dfeats)
-        return backward_from_cache(body, body_cache, dz) + dw + db
+        return backward_from_cache(body, body_cache, dz, ws) + dw + db
 
     return Trainable(
         _mlp_arrays([*(body.components[t] for t in body.tableaux), model.head]),

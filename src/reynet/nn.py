@@ -7,6 +7,7 @@ leading batch axes as long as the last axis is the feature axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,47 +41,98 @@ def init_params(seed: int, dims: tuple[int, ...]) -> MLPParams:
     return MLPParams(tuple(dims), weights, biases)
 
 
-def mlp_forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
+class Workspace:
+    """Scratch arrays reused from one call to the next.
+
+    A training run or an evaluation owns one, so that its hidden activations,
+    backward upstreams and ReLU masks are written into the same few buffers
+    on every micro-batch instead of into fresh arrays that the allocator
+    maps in and hands back to the kernel each time.  ``array`` returns a
+    C-contiguous view of the key's buffer, grown when the shape needs more
+    room, holding whatever its last user left there.  No array handed back
+    to a caller of the package may be such a view.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict = {}
+
+    def array(self, key, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self._buffers[key] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _scratch(ws: Workspace | None, key, shape, dtype=np.float64) -> np.ndarray | None:
+    """A workspace view to write into, or None for a fresh array."""
+    return None if ws is None else ws.array(key, shape, dtype)
+
+
+def _layers(params: MLPParams, x: np.ndarray, ws: Workspace | None, slot, acts: list | None):
     h = np.asarray(x, dtype=np.float64)
     last = len(params.weights) - 1
     for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w.T
+        # the output layer is the caller's, so it never lands in the workspace
+        out = None if k == last else _scratch(ws, ("h", slot, k), h.shape[:-1] + (w.shape[0],))
+        h = np.matmul(h, w.T, out=out)
         h += b
         if k != last:
             np.maximum(h, 0.0, out=h)
+        if acts is not None:
+            acts.append(h)
     return h
 
 
-def mlp_forward_cached(params: MLPParams, x: np.ndarray):
-    """Forward pass keeping post-activation values for the backward pass."""
-    h = np.asarray(x, dtype=np.float64)
-    acts = [h]
-    last = len(params.weights) - 1
-    for k, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w.T
-        h += b
-        if k != last:
-            np.maximum(h, 0.0, out=h)
-        acts.append(h)
-    return h, acts
+def mlp_forward(params: MLPParams, x: np.ndarray, ws: Workspace | None = None) -> np.ndarray:
+    """Output of the MLP; with `ws`, hidden layers are written into it."""
+    return _layers(params, x, ws, None, None)
 
 
-def mlp_backward(params: MLPParams, acts: list[np.ndarray], upstream: np.ndarray):
-    """Gradients of sum(upstream * output) w.r.t. parameters and input."""
+def mlp_forward_cached(params: MLPParams, x: np.ndarray, ws: Workspace | None = None, slot=None):
+    """Forward pass keeping post-activation values for the backward pass.
+
+    With `ws` the hidden activations live in its buffers for `slot`, so they
+    hold until the next forward with the same slot.
+    """
+    acts = [np.asarray(x, dtype=np.float64)]
+    return _layers(params, x, ws, slot, acts), acts
+
+
+def mlp_backward(
+    params: MLPParams,
+    acts: list[np.ndarray],
+    upstream: np.ndarray,
+    ws: Workspace | None = None,
+    input_grad: bool = True,
+):
+    """Gradients of sum(upstream * output) w.r.t. parameters and input.
+
+    The input gradient is None unless `input_grad`, which saves a matmul
+    over every row.  The ReLU mask is applied in place; with `ws`, the
+    hidden layers' upstreams and the mask are written into its buffers.
+    """
     dz = np.asarray(upstream, dtype=np.float64)
     d_weights = [None] * len(params.weights)
     d_biases = [None] * len(params.biases)
     last = len(params.weights) - 1
     for k in range(last, -1, -1):
         if k != last:
-            dz = dz * (acts[k + 1] > 0.0)
+            # dz is a product made below, never the caller's upstream
+            mask = _scratch(ws, "mask", dz.shape, bool)
+            np.multiply(dz, np.greater(acts[k + 1], 0.0, out=mask), out=dz)
         a_prev = acts[k]
         flat_dz = dz.reshape(-1, dz.shape[-1])
         flat_a = a_prev.reshape(-1, a_prev.shape[-1])
         d_weights[k] = flat_dz.T @ flat_a
         d_biases[k] = flat_dz.sum(axis=0)
-        dz = dz @ params.weights[k]
-    return d_weights, d_biases, dz
+        if k == 0:
+            # the input gradient goes to the caller: a fresh array
+            dx = dz @ params.weights[0] if input_grad else None
+        else:
+            w = params.weights[k]
+            dz = np.matmul(dz, w, out=_scratch(ws, ("dz", k), dz.shape[:-1] + (w.shape[1],)))
+    return d_weights, d_biases, dx
 
 
 @dataclass

@@ -36,7 +36,7 @@ from .models import (
     transfer_invariant,
     transfer_n,
 )
-from .nn import adam_step, init_adam, mlp_forward, mse_loss
+from .nn import Workspace, adam_step, init_adam, mlp_forward, mse_loss
 from .rng import CounterRng
 
 MODEL_CHOICES = ("fnn", "maron-skip", "reynet", "red-reynet")
@@ -53,10 +53,18 @@ MARON_SKIP_NOTE = (
 TRAIN_SEED_BASE = 10_000
 TEST_SEED_BASE = 20_000
 
-# Evaluation chunks hold at most this many component rows (one sample at
-# least): 200 samples at n = 5, 50 at n = 10.  Chunks four times larger ran
-# up to 1.2x slower per row, their activations no longer fitting in cache.
-EVAL_CHUNK_ROWS = 5_000
+# Training micro-batches and evaluation chunks hold at most this many
+# component rows (one sample at least): 40 samples at n = 5, 10 at n = 10.
+# What costs time at these sizes is page faults, not cache misses: sixteen
+# 1000-sample evaluations at n = 10 took 383k minor faults and 0.6 s of
+# system time with fresh arrays per 5 000-row chunk, and 7k faults and
+# 0.01 s with 1 000-row chunks over one reused workspace.  Among budgets of
+# 250 to 10 000 rows, 1 000 trained and evaluated fastest at n = 5 and 10
+# and within 5% of the fastest at n = 20 (2-core x86, one BLAS thread).
+CHUNK_ROWS = 1_000
+# A training loss above this multiple of the run's first minibatch loss has
+# blown up even where it is still finite.
+DIVERGENCE_FACTOR = 1e6
 
 
 def dataset_seed(task: TaskSpec, n: int, split: str) -> int:
@@ -144,22 +152,30 @@ def _tensor_targets(ds: Dataset) -> np.ndarray:
     return ds.targets.reshape(ds.count, -1, 1)
 
 
-def _rows_per_sample(model) -> int:
+def _rows_per_sample(model, corner: bool = False) -> int:
     """Component rows one sample puts through the model's MLPs at once."""
     if isinstance(model, FlatNet):
         return 1
+    if corner:
+        return len(plan_rows(model, True))
     body = model.body if isinstance(model, InvariantReyNet) else model
     return body.n**body.order_out
+
+
+def _chunk(model, corner: bool = False) -> int:
+    """Samples per chunk: at most CHUNK_ROWS rows, or one sample."""
+    return max(1, CHUNK_ROWS // _rows_per_sample(model, corner))
 
 
 def evaluate_mse(model, ds: Dataset) -> float:
     """Full mean squared error of the model on a dataset.
 
-    Samples go through in chunks of at most EVAL_CHUNK_ROWS component rows,
-    or one sample where that alone has more, so memory grows with one
-    sample's rows at most as n grows.
+    Samples go through in chunks of at most CHUNK_ROWS component rows, or
+    one sample where that alone has more, so memory grows with one sample's
+    rows at most as n grows.  The chunks share one workspace.
     """
-    chunk = max(1, EVAL_CHUNK_ROWS // _rows_per_sample(model))
+    chunk = _chunk(model)
+    ws = Workspace()
     x = _flat_inputs(ds)
     if isinstance(model, FlatNet):
         t = ds.targets.reshape(ds.count, -1)
@@ -170,15 +186,40 @@ def evaluate_mse(model, ds: Dataset) -> float:
     for start in range(0, ds.count, chunk):
         xb = x[start : start + chunk]
         if isinstance(model, FlatNet):
-            out = mlp_forward(model.params, xb)
+            out = mlp_forward(model.params, xb, ws)
         elif isinstance(model, InvariantReyNet):
-            out = invariant_forward_batch(model, xb)
+            out = invariant_forward_batch(model, xb, ws)
         else:
-            out = forward_batch(model, xb)
+            out = forward_batch(model, xb, ws=ws)
         diff = out - t[start : start + chunk]
         total += float(np.sum(np.square(diff)))
         size += diff.size
     return total / size
+
+
+def _minibatch_gradients(path, x: np.ndarray, t: np.ndarray, idx: np.ndarray, chunk: int):
+    """Mean MSE of the samples `idx` and its gradients, one per parameter.
+
+    Forward and backward run over micro-batches of `chunk` samples.  Each
+    micro-batch's upstream is scaled by its share of the minibatch, so the
+    summed gradients are those of the minibatch's mean loss; one micro-batch
+    is exactly the unsplit pass.
+    """
+    value, grads = 0.0, None
+    for part in range(0, len(idx), chunk):
+        sub = idx[part : part + chunk]
+        out, cache = path.forward(x[sub])
+        part_value, up = mse_loss(out, t[sub])
+        share = len(sub) / len(idx)
+        up *= share
+        value += share * part_value
+        part_grads = path.backward(cache, up)
+        if grads is None:
+            grads = part_grads
+        else:
+            for g, p in zip(grads, part_grads):
+                g += p
+    return value, grads
 
 
 def _train(model, cfg: RunConfig, seed: int, train_ds: Dataset) -> None:
@@ -186,30 +227,36 @@ def _train(model, cfg: RunConfig, seed: int, train_ds: Dataset) -> None:
 
     Equivariant models train on plan-order outputs against targets permuted
     into plan order once; the corner loss keeps the representative entries.
-    A non-finite training loss stops the run with a ValueError.
+    Each minibatch goes through in micro-batches of at most CHUNK_ROWS
+    component rows (one sample at least) over one workspace, then takes one
+    Adam step.  A non-finite loss, or one above DIVERGENCE_FACTOR times the
+    first minibatch's, stops the run with a ValueError.
     """
     corner = cfg.loss == "corner"
-    params, forward, backward = trainable(model, corner)
+    path = trainable(model, corner, Workspace())
     x = _flat_inputs(train_ds)
     t = train_ds.targets.reshape(train_ds.count, -1)
     if isinstance(model, EquivariantReyNet):
         t = t[:, plan_rows(model, corner), None]
-    state = init_adam(params, cfg.lr, cfg.weight_decay)
+    chunk = _chunk(model, corner)
+    state = init_adam(path.params, cfg.lr, cfg.weight_decay)
     shuffles = CounterRng(seed).split(1)
-    # an overflow surfaces as a non-finite loss, reported below; numpy's
-    # warnings would only repeat it
+    ceiling = None
+    # an overflow surfaces as a non-finite or runaway loss, reported below;
+    # numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             order = shuffles.split(epoch).shuffled_indices(train_ds.count)
             for start in range(0, train_ds.count, cfg.batch):
                 idx = order[start : start + cfg.batch]
-                out, cache = forward(x[idx])
-                value, grad = mse_loss(out, t[idx])
-                if not np.isfinite(value):
+                value, grads = _minibatch_gradients(path, x, t, idx, chunk)
+                if ceiling is None:
+                    ceiling = DIVERGENCE_FACTOR * value
+                if not np.isfinite(value) or value > ceiling:
                     raise ValueError(
                         f"training diverged: seed {seed}, epoch {epoch}, loss {value}"
                     )
-                adam_step(state, params, backward(cache, grad))
+                adam_step(state, path.params, grads)
 
 
 @dataclass(frozen=True)

@@ -239,6 +239,19 @@ def test_diverging_training_exits_1_with_one_line(tmp_path, capsys):
     assert not metrics.exists()
 
 
+def test_finite_blow_up_exits_1_with_one_line(tmp_path, capsys):
+    metrics = tmp_path / "m.csv"
+    code = run(
+        "train", "--task", "symmetry", "--model", "red-reynet", "--n", "3",
+        "--seeds", "0", "--epochs", "3", "--train-count", "30", "--test-count", "30",
+        "--batch", "10", "--widths", "6", "--lr", "1e10", "--metrics", metrics,
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "training diverged: seed 0" in err
+    assert not metrics.exists()
+
+
 def test_verify_single_suite_passes(tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert run("verify", "--suite", "bijection", "--max-n", "4", "--out", out) == 0

@@ -5,6 +5,7 @@ import pytest
 
 from reynet.nn import (
     MLPParams,
+    Workspace,
     adam_step,
     init_adam,
     init_params,
@@ -111,6 +112,61 @@ def test_relu_derivative_is_zero_at_the_kink():
     # just past the kink the same path carries gradient 2
     dw, db = grads(1e-9)
     assert db[0][0] == 2.0
+
+
+def _reference_backward(params, acts, upstream):
+    """The plain backward: a fresh masked copy per layer, input gradient kept."""
+    dz = upstream
+    dw, db = [None] * len(params.weights), [None] * len(params.weights)
+    for k in range(len(params.weights) - 1, -1, -1):
+        if k != len(params.weights) - 1:
+            dz = dz * (acts[k + 1] > 0.0)
+        dw[k] = dz.T @ acts[k]
+        db[k] = dz.sum(axis=0)
+        dz = dz @ params.weights[k]
+    return dw, db, dz
+
+
+def _bits_equal(a, b):
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b, strict=True))
+
+
+def test_workspace_kernels_are_bit_identical_to_the_plain_ones():
+    params = init_params(4, (5, 16, 16, 3))
+    rng = np.random.default_rng(5)
+    ws = Workspace()
+    # a larger call first, so the second one runs on views of grown buffers
+    for rows in (40, 23):
+        x = rng.standard_normal((rows, 5))
+        up = rng.standard_normal((rows, 3))
+        out, acts = mlp_forward_cached(params, x)
+        assert any((a == 0.0).any() for a in acts[1:-1])  # the mask does something
+        ref_w, ref_b, ref_dx = _reference_backward(params, acts, up)
+        dw, db, dx = mlp_backward(params, acts, up)
+        assert _bits_equal(dw + db + [dx], ref_w + ref_b + [ref_dx])
+
+        ws_out, ws_acts = mlp_forward_cached(params, x, ws, "slot")
+        assert _bits_equal([ws_out], [out]) and _bits_equal(ws_acts, acts)
+        assert _bits_equal([mlp_forward(params, x, ws)], [out])
+        dw, db, dx = mlp_backward(params, ws_acts, up, ws, input_grad=False)
+        assert dx is None
+        assert _bits_equal(dw + db, ref_w + ref_b)
+        dw, db, dx = mlp_backward(params, ws_acts, up, ws)
+        assert _bits_equal(dw + db + [dx], ref_w + ref_b + [ref_dx])
+        buffers = list(ws._buffers.values())
+        for a in [ws_out, dx] + dw + db:
+            assert not any(np.shares_memory(a, buf) for buf in buffers)
+
+
+def test_workspace_reuses_a_buffer_until_it_must_grow():
+    ws = Workspace()
+    a = ws.array("k", (4, 3))
+    b = ws.array("k", (2, 3))
+    assert np.shares_memory(a, b) and b.flags.c_contiguous
+    assert not np.shares_memory(a, ws.array("other", (4, 3)))
+    c = ws.array("k", (5, 3))
+    assert not np.shares_memory(a, c)
+    assert ws.array("mask", (2, 2), bool).dtype == bool
 
 
 def test_first_adam_step_is_signed_learning_rate():

@@ -1,11 +1,21 @@
 """Run configs, the metrics schema, evaluation, and tiny end-to-end training."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from reynet import train
 from reynet.data import TASKS, generate
-from reynet.models import build_equivariant, default_reduced_spec, forward_batch
+from reynet.models import (
+    EquivariantReyNet,
+    build_equivariant,
+    default_reduced_spec,
+    forward_batch,
+    plan_rows,
+    trainable,
+)
+from reynet.nn import Workspace
 from reynet.train import (
     LOSS_CHOICES,
     METRICS_HEADER,
@@ -26,6 +36,11 @@ from reynet.train import (
     validate_config,
     worker_cap,
 )
+
+# One training step of red-reynet symmetry at n = 30, batch 100, widths
+# 128x128 (90 000 component rows) peaks at about 5.7 MiB of tracemalloc'd
+# allocations in micro-batches of one sample; unsplit it took 448 MiB.
+MEMORY_BOUND_N30 = 60 << 20
 
 TINY = dict(epochs=2, train_count=30, test_count=30, batch=10, widths=(6,), seeds=(0,))
 
@@ -106,7 +121,7 @@ def test_evaluate_mse_matches_manual_computation(monkeypatch):
     model = build_model(cfg, seed=0)
     out = forward_batch(model, ds.inputs.reshape(12, -1))
     manual = float(np.mean((out - ds.targets.reshape(12, 3, 1)) ** 2))
-    monkeypatch.setattr(train, "EVAL_CHUNK_ROWS", 5 * 3)  # five samples a chunk
+    monkeypatch.setattr(train, "CHUNK_ROWS", 5 * 3)  # five samples a chunk
     assert evaluate_mse(model, ds) == pytest.approx(manual, rel=1e-12)
 
 
@@ -116,18 +131,135 @@ def test_evaluate_mse_bounds_rows_per_chunk_at_large_n(monkeypatch, n, count):
     ds = generate(TASKS["symmetry"], n, count, seed=5)
     rows = []
 
-    def counted(model, flat_x):
+    def counted(model, flat_x, **kwargs):
         rows.append(flat_x.shape[0] * n * n)
-        return forward_batch(model, flat_x)
+        return forward_batch(model, flat_x, **kwargs)
 
     monkeypatch.setattr(train, "forward_batch", counted)
     mse = evaluate_mse(model, ds)
     assert sum(rows) == count * n * n
     # a chunk is one sample where a sample alone exceeds the budget
-    assert max(rows) <= max(train.EVAL_CHUNK_ROWS, n * n)
+    assert max(rows) <= max(train.CHUNK_ROWS, n * n)
     out = forward_batch(model, ds.inputs.reshape(count, -1))
     manual = float(np.mean((out - ds.targets.reshape(count, -1, 1)) ** 2))
     assert mse == pytest.approx(manual, rel=1e-12)
+
+
+# (task, model, loss, pooling): equivariant, corner, both invariant poolings, flat
+STEP_CASES = [
+    ("symmetry", "red-reynet", "mse", "max_diag_offdiag"),
+    ("symmetry", "reynet", "corner", "max_diag_offdiag"),
+    ("trace", "red-reynet", "mse", "max_diag_offdiag"),
+    ("trace", "red-reynet", "mse", "orbit_sum"),
+    ("symmetry", "fnn", "mse", "max_diag_offdiag"),
+]
+
+
+def _step_inputs(task, model, loss, pooling, n=4, count=9):
+    cfg = RunConfig(
+        task=task, model=model, n=n, loss=loss, pooling=pooling, body_channels=3,
+        **{**TINY, "train_count": count},
+    )
+    ds, _ = load_run_datasets(cfg)
+    net = build_model(cfg, 1)
+    x = ds.inputs.reshape(count, -1)
+    t = ds.targets.reshape(count, -1)
+    if isinstance(net, EquivariantReyNet):
+        t = t[:, plan_rows(net, loss == "corner"), None]
+    return net, x, t
+
+
+@pytest.mark.parametrize("task, model, loss, pooling", STEP_CASES)
+def test_split_minibatch_gradients_match_the_unsplit_ones(task, model, loss, pooling):
+    net, x, t = _step_inputs(task, model, loss, pooling)
+    idx = np.array([4, 0, 7, 2, 8, 1, 5])
+    path = trainable(net, loss == "corner", Workspace())
+    value, whole = train._minibatch_gradients(path, x, t, idx, len(idx))
+    plain = trainable(net, loss == "corner")  # no workspace
+    out, cache = plain.forward(x[idx])
+    ref_value, up = train.mse_loss(out, t[idx])
+    ref = plain.backward(cache, up)
+    assert value == ref_value
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(whole, ref, strict=True))
+    for chunk in (1, 2, 3):
+        split_value, split = train._minibatch_gradients(path, x, t, idx, chunk)
+        assert split_value == pytest.approx(value, rel=1e-12)
+        for a, b in zip(split, whole, strict=True):
+            assert np.max(np.abs(a - b)) <= 1e-12 * max(1e-300, np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("task, model, loss, pooling", STEP_CASES)
+def test_training_outputs_and_gradients_do_not_alias_the_workspace(task, model, loss, pooling):
+    net, x, t = _step_inputs(task, model, loss, pooling)
+    ws = Workspace()
+    path = trainable(net, loss == "corner", ws)
+    first = None
+    for idx in (np.array([0, 1, 2]), np.array([3, 4, 5])):
+        out, cache = path.forward(x[idx])
+        _, up = train.mse_loss(out, t[idx])
+        returned = [out, *path.backward(cache, up)]
+        buffers = list(ws._buffers.values())
+        assert buffers
+        for a in returned:
+            assert not any(np.shares_memory(a, buf) for buf in buffers)
+        if first is None:
+            first = (returned, [a.copy() for a in returned])
+    # the second step left the first step's arrays as they were
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(*first, strict=True))
+
+
+@pytest.mark.parametrize(
+    "task, model, loss, n",
+    [
+        ("symmetry", "red-reynet", "mse", 20),
+        ("symmetry", "red-reynet", "mse", 40),
+        ("symmetry", "red-reynet", "corner", 40),
+        ("trace", "red-reynet", "mse", 20),
+        ("symmetry", "fnn", "mse", 4),
+    ],
+)
+def test_training_bounds_rows_per_forward(monkeypatch, task, model, loss, n):
+    cfg = RunConfig(
+        task=task, model=model, n=n, loss=loss, seeds=(0,), epochs=1, train_count=5,
+        test_count=1, batch=5, widths=(4,), body_channels=2,
+    )
+    net = build_model(cfg, 0)
+    per_sample = train._rows_per_sample(net, loss == "corner")
+    rows = []
+
+    def counted(model, corner=False, ws=None):
+        path = trainable(model, corner, ws)
+
+        def forward(flat_x):
+            rows.append(flat_x.shape[0] * per_sample)
+            return path.forward(flat_x)
+
+        return path._replace(forward=forward)
+
+    monkeypatch.setattr(train, "CHUNK_ROWS", 1_000)
+    monkeypatch.setattr(train, "trainable", counted)
+    train_ds, _ = load_run_datasets(cfg)
+    train._train(net, cfg, 0, train_ds)
+    assert sum(rows) == 5 * per_sample
+    # a micro-batch is one sample where a sample alone exceeds the budget
+    assert max(rows) <= max(1_000, per_sample)
+
+
+def test_one_training_step_at_n_30_stays_within_its_memory_bound():
+    cfg = RunConfig(
+        task="symmetry", model="red-reynet", n=30, seeds=(0,), epochs=1, train_count=100,
+        test_count=1, batch=100,
+    )
+    net = build_model(cfg, 0)
+    train_ds, _ = load_run_datasets(cfg)
+    train._train(net, cfg, 0, train_ds)  # the design plan is built outside the measure
+    tracemalloc.start()
+    try:
+        train._train(net, cfg, 0, train_ds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < MEMORY_BOUND_N30
 
 
 @pytest.mark.parametrize("model", ["fnn", "red-reynet"])
@@ -136,6 +268,17 @@ def test_diverging_training_names_seed_and_epoch(model, task):
     cfg = RunConfig(task=task, model=model, n=3, **{**TINY, "lr": 1e100})
     with pytest.raises(ValueError, match="diverged: seed 3, epoch 0"):
         train_seed(cfg, 3)
+
+
+@pytest.mark.parametrize("model", ["fnn", "red-reynet"])
+def test_finite_blow_up_stops_training(model):
+    # at lr 1e10 the loss runs away but stays finite for a while; unguarded,
+    # this run finished with a test MSE near 1e202
+    cfg = RunConfig(task="symmetry", model=model, n=3, **{**TINY, "epochs": 3, "lr": 1e10})
+    with pytest.raises(ValueError, match="diverged: seed 0, epoch 0") as err:
+        train_seed(cfg, 0)
+    loss = float(str(err.value).rsplit("loss ", 1)[1])
+    assert np.isfinite(loss) and loss > 1e6
 
 
 def test_training_reduces_training_error():

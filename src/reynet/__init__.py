@@ -32,7 +32,6 @@ from .tensors import (
     basis_vector,
     orbit_sum,
     permute_tensor,
-    scatter,
 )
 from .reynolds import (
     GeneratorSet,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import atomic_write, read_json
 from .models import (
     POOLINGS,
     EquivariantReyNet,
@@ -237,7 +238,7 @@ def save_checkpoint(path: str, bundle: ModelBundle) -> None:
         "hyper": bundle.hyper,
         "model": _model_doc(bundle.model),
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
@@ -245,11 +246,11 @@ def save_checkpoint(path: str, bundle: ModelBundle) -> None:
 def load_checkpoint(path: str) -> ModelBundle:
     """Read and validate a checkpoint; any malformed content is a ValueError
     naming the file."""
-    with open(path) as fh:
-        try:
-            return _bundle_load(json.load(fh))
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from None
+    doc = read_json(path)
+    try:
+        return _bundle_load(doc)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _bundle_load(doc) -> ModelBundle:

@@ -14,14 +14,16 @@ REYNET_THREADS caps how many training processes run in parallel.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import TASKS, DatasetFormatError, generate, load_dataset, save_dataset
+from .files import atomic_write, read_json
 from .train import (
     LOSS_CHOICES,
     MARON_SKIP_NOTE,
@@ -29,14 +31,14 @@ from .train import (
     MetricsRecord,
     RunConfig,
     append_metrics,
+    config_rows,
     dataset_seed,
     evaluate_mse,
-    missing_seeds,
     model_for_eval,
     model_kind_for,
     read_metrics,
-    row_key,
     run_config,
+    run_hyper,
     validate_config,
 )
 from .verify import SUITE_NAMES, run_suites
@@ -56,22 +58,11 @@ def _int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
-def _checked_config(args, seeds: tuple[int, ...]) -> RunConfig:
-    cfg = RunConfig(
-        task=args.task,
-        model=args.model,
-        n=args.n,
-        loss=args.loss,
-        seeds=seeds,
-        epochs=args.epochs,
-        batch=args.batch,
-        lr=args.lr,
-        weight_decay=args.weight_decay,
-        widths=args.widths,
-        body_channels=args.body_channels,
-        train_count=args.train_count,
-        test_count=args.test_count,
-    )
+def _run_config(args, **cell) -> RunConfig:
+    """The validated RunConfig of the parsed flags; `cell` sets the fields a
+    table cell fixes, and fields without a flag keep their defaults."""
+    flags = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    cfg = RunConfig(**{**flags, **cell})
     try:
         validate_config(cfg)
     except ValueError as err:
@@ -95,27 +86,57 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _existing_keys(path: str) -> set[tuple]:
-    if not path or not os.path.exists(path):
-        return set()
-    return {row_key(r) for r in read_metrics(path)}
+def _label(cfg: RunConfig) -> str:
+    return f"{cfg.task} {cfg.model} loss={cfg.loss} n={cfg.n} epochs={cfg.epochs}"
+
+
+def _resume(cfgs: list[RunConfig], metrics: str | None, skip_existing: bool):
+    """Train each config's seeds and append their rows to `metrics`.
+
+    With `skip_existing`, seeds whose test row the file already holds are
+    left out.  The hyperparameters of every cell that gets rows are recorded
+    in the sidecar `<metrics>.hyper.json`; a config whose cell it records
+    with other values is a usage error, raised before anything trains.
+    Returns the new records and bundles.
+    """
+    sidecar = f"{metrics}.hyper.json"
+    done = read_metrics(metrics) if metrics and os.path.exists(metrics) else []
+    recorded = read_json(sidecar) if metrics and os.path.exists(sidecar) else {}
+    if not isinstance(recorded, dict) or not all(isinstance(v, dict) for v in recorded.values()):
+        raise ValueError(f"{sidecar}: expected an object of hyperparameters per cell")
+    for cfg in cfgs:
+        old, new = recorded.get(_label(cfg)), run_hyper(cfg)
+        if old is not None and old != new:
+            diff = ", ".join(
+                f"{k} {old.get(k)!r} (this run {v!r})" for k, v in new.items() if old.get(k) != v
+            )
+            raise UsageError(f"{sidecar}: {_label(cfg)} was recorded with {diff}")
+    records, bundles = [], []
+    for cfg in cfgs:
+        trained = {r.seed for r in config_rows(cfg, done)} if skip_existing else set()
+        seeds = tuple(s for s in cfg.seeds if s not in trained)
+        if not seeds:
+            print(f"skip {_label(cfg)}: all requested seeds already recorded; nothing to do")
+            continue
+        print(f"run {_label(cfg)} seeds={list(seeds)}")
+        new_records, new_bundles = run_config(replace(cfg, seeds=seeds))
+        if metrics:
+            append_metrics(metrics, new_records)
+            recorded[_label(cfg)] = run_hyper(cfg)
+            with atomic_write(sidecar) as fh:
+                json.dump(recorded, fh, indent=1)
+                fh.write("\n")
+        done += new_records
+        records += new_records
+        bundles += new_bundles
+    return records, bundles
 
 
 def cmd_train(args) -> int:
     if args.model == "maron-skip":
         print(MARON_SKIP_NOTE)
         return 0
-    cfg = _checked_config(args, args.seeds)
-    seeds = cfg.seeds
-    if args.skip_existing and args.metrics:
-        seeds = missing_seeds(cfg, _existing_keys(args.metrics))
-        if not seeds:
-            print("all requested seeds already recorded; nothing to do")
-            return 0
-        cfg = replace(cfg, seeds=seeds)
-    records, bundles = run_config(cfg)
-    if args.metrics:
-        append_metrics(args.metrics, records)
+    records, bundles = _resume([_run_config(args)], args.metrics, args.skip_existing)
     if args.checkpoint_dir:
         os.makedirs(args.checkpoint_dir, exist_ok=True)
         for bundle in bundles:
@@ -190,7 +211,7 @@ def cmd_sweep(args) -> int:
         rows.append((n, mse))
         print(f"n_test={n} mse={mse:.6e}")
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out) as fh:
             fh.write("n_test,mse\n")
             for n, mse in rows:
                 fh.write(f"{n},{mse!r}\n")
@@ -212,7 +233,7 @@ def cmd_verify(args) -> int:
         print(f"suite {res.suite}: {mark} ({len(res.checks)} checks, max gap {res.max_gap:.3e})")
         all_ok = all_ok and res.passed
     if args.out:
-        with open(args.out, "w") as fh:
+        with atomic_write(args.out) as fh:
             fh.write("suite,check,gap,passed\n")
             for res in results:
                 for check in res.checks:
@@ -221,91 +242,35 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
-def _table_cells(which: str, tasks, ns, losses):
-    if which == "table1":
-        for task in tasks:
-            for model in MODEL_CHOICES:
-                for n in ns:
-                    yield task, model, "mse", n
-    else:
-        for loss in losses:
-            for n in ns:
-                yield "symmetry", "red-reynet", loss, n
+def _grid(args) -> list[tuple[str, str, str, str]]:
+    """The (task, model, loss, label) rows of a table; each is trained at every
+    --ns size and printed as one line of the wide CSV."""
+    if args.which == "table1":
+        models = ("fnn", "reynet", "red-reynet")
+        return [(task, model, "mse", model) for task in args.tasks for model in models]
+    return [("symmetry", "red-reynet", loss, f"red-reynet[{loss}]") for loss in ("mse", "corner")]
 
 
 def cmd_table(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
-    metrics_path = os.path.join(args.out_dir, "metrics.csv")
-    ns = args.ns
-    tasks = args.tasks if args.which == "table1" else ("symmetry",)
-    losses = ("mse", "corner")
-    done = _existing_keys(metrics_path)
-    skipped_note = False
-    for task, model, loss, n in _table_cells(args.which, tasks, ns, losses):
-        if model == "maron-skip":
-            if not skipped_note:
-                print(MARON_SKIP_NOTE)
-                skipped_note = True
-            continue
-        cfg = RunConfig(
-            task=task,
-            model=model,
-            n=n,
-            loss=loss,
-            seeds=args.seeds,
-            epochs=args.epochs,
-            batch=args.batch,
-            train_count=args.train_count,
-            test_count=args.test_count,
-        )
-        try:
-            validate_config(cfg)
-        except ValueError as err:
-            raise UsageError(str(err))
-        missing = missing_seeds(cfg, done)
-        if not missing:
-            print(f"skip {task} {model} loss={loss} n={n}: already recorded")
-            continue
-        print(f"run {task} {model} loss={loss} n={n} seeds={list(missing)}")
-        records, _ = run_config(replace(cfg, seeds=missing))
-        append_metrics(metrics_path, records)
-        done.update(r.key() for r in records)
-    _write_wide_table(args, metrics_path, tasks, ns, losses)
-    return 0
-
-
-def _mean_cell(rows, task, kind, loss, n, epochs) -> str:
-    vals = [
-        float(r["mse"])
-        for r in rows
-        if r["split"] == "test"
-        and (r["task"], r["model"], r["loss"], int(r["n_train"]), int(r["n_test"]))
-        == (task, kind, loss, n, n)
-        and int(r["epoch"]) == epochs
+    metrics = os.path.join(args.out_dir, "metrics.csv")
+    grid = [
+        (f"{task},{label}", [_run_config(args, task=task, model=m, loss=loss, n=n) for n in args.ns])
+        for task, m, loss, label in _grid(args)
     ]
-    return f"{np.mean(vals):.3e}" if vals else ""
-
-
-def _write_wide_table(args, metrics_path: str, tasks, ns, losses) -> None:
-    rows = read_metrics(metrics_path) if os.path.exists(metrics_path) else []
+    _resume([cfg for _, cfgs in grid for cfg in cfgs], metrics, skip_existing=True)
+    records = read_metrics(metrics) if os.path.exists(metrics) else []
+    lines = ["task,model," + ",".join(f"n{n}" for n in args.ns)]
+    for row, cfgs in grid:
+        mses = [[r.mse for r in config_rows(cfg, records)] for cfg in cfgs]
+        lines.append(row + "," + ",".join(f"{np.mean(m):.3e}" if m else "" for m in mses))
     out_path = os.path.join(args.out_dir, f"{args.which}.csv")
-    lines = ["task,model," + ",".join(f"n{n}" for n in ns)]
-    if args.which == "table1":
-        for task in tasks:
-            for model in ("fnn", "reynet", "red-reynet"):
-                kind = model_kind_for(RunConfig(task=task, model=model, n=max(ns)))
-                cells = [_mean_cell(rows, task, kind, "mse", n, args.epochs) for n in ns]
-                lines.append(f"{task},{model}," + ",".join(cells))
-    else:
-        for loss in losses:
-            kind = "red-reynet"
-            cells = [_mean_cell(rows, "symmetry", kind, loss, n, args.epochs) for n in ns]
-            lines.append(f"symmetry,red-reynet[{loss}]," + ",".join(cells))
-    with open(out_path, "w") as fh:
+    with atomic_write(out_path) as fh:
         fh.write("\n".join(lines) + "\n")
     for line in lines:
         print(line)
     print(f"wrote {out_path}")
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

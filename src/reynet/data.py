@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .files import atomic_write
 from .rng import CounterRng
 
 MAGIC = b"REYNDATA"
@@ -108,7 +109,7 @@ def generate(task: TaskSpec, n: int, count: int, seed: int) -> Dataset:
 
 
 def save_dataset(path: str, ds: Dataset) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<IIIIQ", VERSION, ds.task.task_id, ds.n, ds.count, ds.seed))
         fh.write(np.ascontiguousarray(ds.inputs, dtype="<f8").tobytes())

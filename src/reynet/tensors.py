@@ -67,15 +67,6 @@ def basis_vector(u: tuple[int, ...], n: int) -> DenseTensor:
     return DenseTensor(n, m, 1, data)
 
 
-def scatter(values: np.ndarray, u: tuple[int, ...], acc: DenseTensor) -> DenseTensor:
-    """Add a channel vector at one index position, in place."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (acc.channels,):
-        raise ValueError(f"values shape {values.shape}, expected ({acc.channels},)")
-    acc.data[tuple(uk - 1 for uk in u)] += values
-    return acc
-
-
 @dataclass(frozen=True)
 class OrbitTensor:
     """One channel vector per index orbit, keyed by basis tableau."""

@@ -13,9 +13,10 @@ Set REYNET_THREADS to run the seeds of a config in parallel processes.
 from __future__ import annotations
 
 import csv
+import io
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -41,7 +42,6 @@ from .rng import CounterRng
 
 MODEL_CHOICES = ("fnn", "maron-skip", "reynet", "red-reynet")
 LOSS_CHOICES = {"mse": "standard_mse", "corner": "corner_mse"}
-METRICS_HEADER = ("task", "model", "loss", "n_train", "n_test", "seed", "epoch", "split", "mse")
 
 MARON_SKIP_NOTE = (
     "maron-skip: the higher-order equivariant-basis baseline is out of scope "
@@ -90,6 +90,45 @@ class RunConfig:
     train_count: int = 1000
     test_count: int = 1000
     pooling: str = "max_diag_offdiag"
+
+
+# The RunConfig fields that name a run rather than tune it; the rest are its
+# hyperparameters, stored in checkpoints and beside metrics files.
+_IDENTITY_FIELDS = ("task", "model", "n", "loss", "seeds")
+
+
+def run_hyper(cfg: RunConfig) -> dict:
+    """The config's hyperparameters as JSON values, in field order."""
+    hyper = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name not in _IDENTITY_FIELDS}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in hyper.items()}
+
+
+@dataclass(frozen=True)
+class MetricsRecord:
+    """One metrics CSV row; the fields are the columns, in order."""
+
+    task: str
+    model: str
+    loss: str
+    n_train: int
+    n_test: int
+    seed: int
+    epoch: int
+    split: str
+    mse: float
+
+    def row(self) -> tuple[str, ...]:
+        return tuple(str(v) for v in astuple(self))
+
+    def key(self) -> tuple:
+        """Every field but the mse."""
+        return astuple(self)[:-1]
+
+
+METRICS_HEADER = tuple(f.name for f in fields(MetricsRecord))
+_COLUMN_TYPES = tuple(
+    {"str": str, "int": int, "float": float}[f.type] for f in fields(MetricsRecord)
+)
 
 
 def validate_config(cfg: RunConfig) -> None:
@@ -259,50 +298,6 @@ def _train(model, cfg: RunConfig, seed: int, train_ds: Dataset) -> None:
                 adam_step(state, path.params, grads)
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
-    task: str
-    model: str
-    loss: str
-    n_train: int
-    n_test: int
-    seed: int
-    epoch: int
-    split: str
-    mse: float
-
-    def row(self) -> tuple[str, ...]:
-        return (
-            self.task,
-            self.model,
-            self.loss,
-            str(self.n_train),
-            str(self.n_test),
-            str(self.seed),
-            str(self.epoch),
-            self.split,
-            repr(self.mse),
-        )
-
-    def key(self) -> tuple:
-        """Every field but the mse, as ``row_key`` reads them back."""
-        return astuple(self)[:-1]
-
-
-def _hyper(cfg: RunConfig) -> dict:
-    return {
-        "epochs": cfg.epochs,
-        "batch": cfg.batch,
-        "lr": cfg.lr,
-        "weight_decay": cfg.weight_decay,
-        "widths": list(cfg.widths),
-        "body_channels": cfg.body_channels,
-        "train_count": cfg.train_count,
-        "test_count": cfg.test_count,
-        "pooling": cfg.pooling,
-    }
-
-
 def load_run_datasets(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     task = TASKS[cfg.task]
     train_ds = generate(task, cfg.n, cfg.train_count, dataset_seed(task, cfg.n, "train"))
@@ -324,14 +319,12 @@ def train_seed(
         train_ds, test_ds = load_run_datasets(cfg)
     model = build_model(cfg, seed)
     _train(model, cfg, seed, train_ds)
-    kind = model_kind_for(cfg)
     records = [
-        MetricsRecord(
-            cfg.task, kind, cfg.loss, cfg.n, cfg.n, seed, cfg.epochs, split, evaluate_mse(model, ds)
-        )
+        _record(cfg, seed, split, evaluate_mse(model, ds))
         for split, ds in (("train", train_ds), ("test", test_ds))
     ]
-    bundle = ModelBundle(kind, cfg.task, cfg.loss, cfg.n, seed, _hyper(cfg), model)
+    kind = model_kind_for(cfg)
+    bundle = ModelBundle(kind, cfg.task, cfg.loss, cfg.n, seed, run_hyper(cfg), model)
     return records, bundle
 
 
@@ -380,51 +373,46 @@ def model_for_eval(bundle: ModelBundle, n: int):
     return model if n == model.n else transfer_n(model, n)
 
 
-def read_metrics(path: str) -> list[dict]:
+def _record(cfg: RunConfig, seed: int, split: str, mse: float) -> MetricsRecord:
+    kind = model_kind_for(cfg)
+    return MetricsRecord(cfg.task, kind, cfg.loss, cfg.n, cfg.n, seed, cfg.epochs, split, mse)
+
+
+def config_rows(cfg: RunConfig, records: list[MetricsRecord]) -> list[MetricsRecord]:
+    """The test rows of the config's seeds, trained and scored at its size
+    and for its epochs."""
+    keys = {_record(cfg, s, "test", 0.0).key() for s in cfg.seeds}
+    return [r for r in records if r.key() in keys]
+
+
+def read_metrics(path: str) -> list[MetricsRecord]:
+    """Every row of a metrics CSV; any malformed content is a ValueError
+    naming the file and line."""
+    rows: list[MetricsRecord] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != METRICS_HEADER:
-            raise ValueError(f"{path}: bad metrics header {header!r}")
-        rows = []
-        for raw in reader:
-            if len(raw) != len(METRICS_HEADER):
-                raise ValueError(f"{path}: malformed row {raw!r}")
-            rows.append(dict(zip(METRICS_HEADER, raw)))
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != METRICS_HEADER:
+                raise ValueError(f"bad metrics header {header!r}")
+            for raw in reader:
+                if len(raw) != len(METRICS_HEADER):
+                    raise ValueError(f"malformed row {raw!r}")
+                rows.append(MetricsRecord(*(t(v) for t, v in zip(_COLUMN_TYPES, raw))))
+        except (csv.Error, ValueError) as err:
+            raise ValueError(f"{path}:{reader.line_num}: {err}") from None
     return rows
 
 
-def row_key(row: dict) -> tuple:
-    return (
-        row["task"],
-        row["model"],
-        row["loss"],
-        int(row["n_train"]),
-        int(row["n_test"]),
-        int(row["seed"]),
-        int(row["epoch"]),
-        row["split"],
-    )
-
-
-def missing_seeds(cfg: RunConfig, done: set[tuple]) -> tuple[int, ...]:
-    """Seeds of the config whose test row, at its epochs, is not in `done`
-    (a set of ``row_key``s)."""
-    kind = model_kind_for(cfg)
-    return tuple(
-        s
-        for s in cfg.seeds
-        if (cfg.task, kind, cfg.loss, cfg.n, cfg.n, s, cfg.epochs, "test") not in done
-    )
-
-
 def append_metrics(path: str, records: list[MetricsRecord]) -> None:
+    """Append the rows in one write, with the header if the file is new."""
     fresh = not os.path.exists(path)
     if not fresh:
         read_metrics(path)  # refuse to append to a file with a foreign schema
+    text = io.StringIO()
+    writer = csv.writer(text)
+    if fresh:
+        writer.writerow(METRICS_HEADER)
+    writer.writerows(rec.row() for rec in records)
     with open(path, "a", newline="") as fh:
-        writer = csv.writer(fh)
-        if fresh:
-            writer.writerow(METRICS_HEADER)
-        for rec in records:
-            writer.writerow(rec.row())
+        fh.write(text.getvalue())

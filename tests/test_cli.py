@@ -50,7 +50,7 @@ def test_train_writes_metrics_and_checkpoints(tmp_path, capsys):
     assert "mean test mse" in capsys.readouterr().out
     rows = read_metrics(metrics)
     assert len(rows) == 4  # train+test per seed
-    assert {r["seed"] for r in rows} == {"0", "1"}
+    assert {r.seed for r in rows} == {0, 1}
     saved = sorted(p.name for p in ckpts.iterdir())
     assert saved == [
         "diagonal_red-reynet_mse_n3_seed0.json",
@@ -86,9 +86,38 @@ def test_train_skip_existing_reruns_other_epochs(tmp_path, capsys):
     capsys.readouterr()
     assert run(*args, "--epochs", "2") == 0
     assert "nothing to do" not in capsys.readouterr().out
-    assert [r["epoch"] for r in read_metrics(metrics)] == ["1", "1", "2", "2"]
+    assert [r.epoch for r in read_metrics(metrics)] == [1, 1, 2, 2]
     assert run(*args, "--epochs", "2") == 0
     assert "nothing to do" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "first, second, fields",
+    [
+        (("--lr", "1e-3"), ("--lr", "1e-1"), ["lr 0.001 (this run 0.1)"]),
+        (("--widths", "4"), ("--widths", "8"), ["widths [4] (this run [8])"]),
+        (("--widths", "4"), ("--batch", "5"), ["batch 10 (this run 5)", "widths [4]"]),
+    ],
+)
+@pytest.mark.parametrize("skip_existing", [True, False])
+def test_train_refuses_a_cell_recorded_with_other_hyperparameters(
+    tmp_path, capsys, first, second, fields, skip_existing
+):
+    metrics = tmp_path / "metrics.csv"
+    args = (
+        "train", "--task", "diagonal", "--model", "red-reynet", "--n", "3",
+        "--seeds", "0", "--epochs", "1", "--train-count", "20", "--test-count", "10",
+        "--batch", "10", "--metrics", metrics, *(["--skip-existing"] if skip_existing else []),
+    )
+    assert run(*args, *first) == 0
+    rows = metrics.read_text()
+    capsys.readouterr()
+    assert run(*args, "--seeds", "0,1", *second) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert f"{metrics}.hyper.json" in captured.err
+    assert all(f in captured.err for f in fields)
+    assert metrics.read_text() == rows
 
 
 def test_train_maron_skip_prints_note_and_no_rows(tmp_path, capsys):
@@ -177,6 +206,14 @@ def test_malformed_checkpoint_exits_1_with_one_line(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("reynet: error: ")
     assert str(path) in err and "Traceback" not in err
+
+
+def test_deeply_nested_checkpoint_exits_1_with_one_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    assert run("eval", "--checkpoint", path, "--n", "3") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"reynet: error: {path}: ")
 
 
 def test_sweep_walks_sizes(tmp_path, capsys):
@@ -310,12 +347,70 @@ def test_table_reruns_cells_trained_for_other_epochs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "skip" not in out and out.count("run symmetry") == 2
     rows = read_metrics(outdir / "metrics.csv")
-    fresh = {
-        r["loss"]: float(r["mse"]) for r in rows if r["split"] == "test" and r["epoch"] == "2"
-    }
+    fresh = {r.loss: r.mse for r in rows if r.split == "test" and r.epoch == 2}
     table2 = (outdir / "table2.csv").read_text().strip().splitlines()
     assert table2[1] == f"symmetry,red-reynet[mse],{fresh['mse']:.3e}"
     assert table2[2] == f"symmetry,red-reynet[corner],{fresh['corner']:.3e}"
+
+
+def test_table_refuses_cells_recorded_with_other_hyperparameters(tmp_path, capsys):
+    outdir = tmp_path / "tables"
+    args = (
+        "table", "--which", "table2", "--out-dir", outdir, "--ns", "3", "--seeds", "0",
+        "--epochs", "1", "--train-count", "20", "--test-count", "10",
+    )
+    assert run(*args, "--batch", "10") == 0
+    rows = (outdir / "metrics.csv").read_text()
+    table = (outdir / "table2.csv").read_text()
+    capsys.readouterr()
+    assert run(*args, "--batch", "5") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "metrics.csv.hyper.json" in captured.err and "batch 10 (this run 5)" in captured.err
+    assert (outdir / "metrics.csv").read_text() == rows
+    assert (outdir / "table2.csv").read_text() == table
+
+
+def test_table_validates_every_cell_before_training(tmp_path, capsys):
+    outdir = tmp_path / "tables"
+    code = run(
+        "table", "--which", "table1", "--tasks", "symmetry,soup", "--out-dir", outdir,
+        "--ns", "3", "--seeds", "0", "--epochs", "1",
+    )
+    assert code == 2
+    assert "soup" in capsys.readouterr().err
+    assert not (outdir / "metrics.csv").exists()
+
+
+def test_metrics_files_without_a_sidecar_resume_as_before(tmp_path, capsys):
+    metrics = tmp_path / "metrics.csv"
+    args = (
+        "train", "--task", "diagonal", "--model", "red-reynet", "--n", "3",
+        "--seeds", "0", "--epochs", "1", "--train-count", "20", "--test-count", "10",
+        "--batch", "10", "--widths", "4", "--metrics", metrics, "--skip-existing",
+    )
+    assert run(*args, "--lr", "1e-3") == 0
+    (tmp_path / "metrics.csv.hyper.json").unlink()
+    capsys.readouterr()
+    assert run(*args, "--lr", "1e-1") == 0
+    assert "nothing to do" in capsys.readouterr().out
+
+
+def test_malformed_metrics_value_names_file_and_line(tmp_path, capsys):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(
+        ",".join(METRICS_HEADER) + "\n"
+        "diagonal,red-reynet,mse,3,3,0,1,train,0.5\n"
+        "diagonal,red-reynet,mse,3,3,zero,1,test,0.5\n"
+    )
+    code = run(
+        "train", "--task", "diagonal", "--model", "red-reynet", "--n", "3",
+        "--seeds", "0", "--epochs", "1", "--train-count", "20", "--test-count", "10",
+        "--batch", "10", "--widths", "4", "--metrics", metrics, "--skip-existing",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"reynet: error: {metrics}:3: ")
 
 
 def test_metrics_header_matches_contract(tmp_path):

@@ -15,7 +15,6 @@ from reynet.tensors import (
     flat_index,
     orbit_sum,
     permute_tensor,
-    scatter,
 )
 
 
@@ -69,14 +68,6 @@ def test_dense_tensor_validates_shape_and_finiteness():
         DenseTensor(3, 2, 1, np.zeros((3, 3)))
     with pytest.raises(ValueError):
         DenseTensor(3, 2, 1, np.full((3, 3, 1), np.nan))
-
-
-def test_scatter_accumulates_in_place():
-    acc = DenseTensor(3, 2, 2, np.zeros((3, 3, 2)))
-    scatter(np.array([1.0, 2.0]), (2, 3), acc)
-    scatter(np.array([0.5, 0.5]), (2, 3), acc)
-    assert acc.data[1, 2].tolist() == [1.5, 2.5]
-    assert np.count_nonzero(acc.data) == 2
 
 
 def test_orbit_sum_matrix_case():

@@ -30,7 +30,6 @@ from reynet.train import (
     model_for_eval,
     model_kind_for,
     read_metrics,
-    row_key,
     run_config,
     train_seed,
     validate_config,
@@ -352,10 +351,10 @@ def test_metrics_csv_round_trip(tmp_path):
     append_metrics(path, [MetricsRecord("trace", "fnn", "mse", 5, 5, 1, 2, "test", 1.25)])
     rows = read_metrics(path)
     assert len(rows) == 3
-    assert rows[0]["mse"] == "0.5"
-    assert row_key(rows[1]) == ("symmetry", "red-reynet", "mse", 3, 3, 0, 2, "test")
-    assert float(rows[2]["mse"]) == 1.25
-    assert {r.key() for r in recs} <= {row_key(r) for r in rows}
+    assert rows[0].mse == 0.5 and path.read_text().splitlines()[1].endswith(",0.5")
+    assert rows[1].key() == ("symmetry", "red-reynet", "mse", 3, 3, 0, 2, "test")
+    assert rows[2].mse == 1.25
+    assert {r.key() for r in recs} <= {r.key() for r in rows}
 
 
 def test_read_metrics_rejects_foreign_headers(tmp_path):
